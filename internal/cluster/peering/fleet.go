@@ -60,10 +60,15 @@ func NewForwardRequest(spec platform.RunSpec, key string) ForwardRequest {
 
 // RunSpec rebuilds the full trial on the owner side, regenerating the op
 // streams from the catalog. Unknown workload names surface as
-// workload.ErrUnknown for the handler to map onto its error code.
+// workload.ErrUnknown for the handler to map onto its error code. The
+// scale is held to the (0, 1.0] band /v1/sweeps admits, so a forward can
+// never make the owner generate a workload larger than the paper's.
 func (f ForwardRequest) RunSpec() (platform.RunSpec, error) {
 	if err := f.Spec.Validate(); err != nil {
 		return platform.RunSpec{}, fmt.Errorf("peering: invalid cluster spec: %w", err)
+	}
+	if !(f.Scale > 0 && f.Scale <= 1) {
+		return platform.RunSpec{}, fmt.Errorf("peering: scale must be in (0, 1.0], got %g", f.Scale)
 	}
 	wl, err := workload.Catalog(f.Workload, f.Spec.TotalRanks(), f.Scale)
 	if err != nil {

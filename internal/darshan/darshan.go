@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"stellar/internal/lustre"
 	"stellar/internal/workload"
@@ -129,19 +130,26 @@ type Log struct {
 // Collector implements lustre.TraceSink, aggregating events into records.
 type Collector struct {
 	iface   string
-	records map[string]*Record // key module|file
+	records map[recordKey]*Record
 	maxEnd  float64
+}
+
+// recordKey identifies one record. Log orders records by the text
+// "module|file", so the key stays structured and is rendered only there.
+type recordKey struct {
+	module string
+	file   int32
 }
 
 // NewCollector creates a collector for a workload using the given I/O
 // interface ("POSIX" or "MPI-IO"). MPI-IO applications produce both MPI-IO
 // and POSIX records, as the real library layers do.
 func NewCollector(iface string) *Collector {
-	return &Collector{iface: iface, records: make(map[string]*Record)}
+	return &Collector{iface: iface, records: make(map[recordKey]*Record)}
 }
 
 func (c *Collector) rec(module string, file int32) *Record {
-	k := fmt.Sprintf("%s|%d", module, file)
+	k := recordKey{module: module, file: file}
 	r, ok := c.records[k]
 	if !ok {
 		r = &Record{
@@ -221,13 +229,19 @@ func (c *Collector) Log(jobID, exe string, nprocs int) *Log {
 		JobID: jobID, Exe: exe, NProcs: nprocs,
 		RunTime: c.maxEnd, Interface: c.iface,
 	}}
-	keys := make([]string, 0, len(c.records))
-	for k := range c.records {
-		keys = append(keys, k)
+	// Records sort by their "module|file" text, the order the Analysis
+	// Agent's frames have always had (so file 10 precedes file 9).
+	type sortable struct {
+		text string
+		rec  *Record
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		l.Records = append(l.Records, c.records[k])
+	recs := make([]sortable, 0, len(c.records))
+	for k, r := range c.records {
+		recs = append(recs, sortable{text: k.module + "|" + strconv.Itoa(int(k.file)), rec: r})
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].text < recs[j].text })
+	for _, sr := range recs {
+		l.Records = append(l.Records, sr.rec)
 	}
 	return l
 }

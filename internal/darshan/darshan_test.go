@@ -2,7 +2,7 @@ package darshan
 
 import (
 	"context"
-
+	"fmt"
 	"strings"
 	"testing"
 
@@ -142,5 +142,24 @@ func TestRankTimeStatistics(t *testing.T) {
 	}
 	if posix.VarianceRankTime() < 0 {
 		t.Fatal("negative variance")
+	}
+}
+
+// TestLogRecordOrder pins the record order Log emits: by the text
+// "module|file", so MPI-IO precedes POSIX and file 10 precedes file 9.
+// The Analysis Agent's frames follow this order, and so does every prompt
+// built from them.
+func TestLogRecordOrder(t *testing.T) {
+	col := NewCollector("MPI-IO")
+	for _, f := range []int32{9, 2, 10} {
+		col.Record(lustre.Event{Op: workload.OpWrite, File: f, Size: 4096, End: 1})
+	}
+	var got []string
+	for _, r := range col.Log("1", "order", 1).Records {
+		got = append(got, fmt.Sprintf("%s|%d", r.Module, r.FileID))
+	}
+	want := []string{"MPI-IO|10", "MPI-IO|2", "MPI-IO|9", "POSIX|10", "POSIX|2", "POSIX|9"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("record order %v, want %v", got, want)
 	}
 }

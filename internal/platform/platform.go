@@ -16,12 +16,11 @@ package platform
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash"
-	"sort"
-	"sync"
+	"slices"
+	"strconv"
+	"sync/atomic"
 
 	"stellar/internal/cluster"
 	"stellar/internal/lustre"
@@ -66,109 +65,69 @@ type Platform interface {
 // over the cluster spec, the workload content (name, scale, file table,
 // phases, and every op of every rank), the effective configuration, and the
 // seed. It is stable across processes, so it doubles as the on-disk name
-// for recorded runs.
+// for recorded runs, and its byte encoding is pinned by TestKeyGolden.
 //
-// Hashing the op streams is O(total ops), so the workload portion of the
-// digest is memoized per *Workload: every stacked layer (cache over
-// recorder, replayer) re-derives the key, and cache hits must not pay a
-// full-workload hash each time. Workloads are immutable once built by
-// workload.Catalog; mutating one in place after its first Key would go
-// unnoticed — derive a fresh Workload instead.
+// Key runs on every rep of every request, cache hits included, so it does
+// only per-spec work. The workload part is workload.Digest: free for a
+// shared workload from workload.Catalog, which is sealed with its digest
+// when built, and a full O(ops) hash for any other workload. The cluster
+// spec's text is rendered once per distinct Spec value, and the config and
+// seed are appended with strconv into one buffer hashed in a single call.
 func (s RunSpec) Key() string {
-	h := sha256.New()
-	// Cluster spec: all fields are scalars, and %#v renders them in
-	// declaration order with their field names, so any spec change alters
-	// the key.
-	fmt.Fprintf(h, "%#v\n", s.Spec)
-	h.Write(workloadDigest(s.Workload))
+	var stack [2048]byte
+	b := append(stack[:0], specText(s.Spec)...)
+	d := s.Workload.Digest()
+	b = append(b, d[:]...)
 
-	names := make([]string, 0, len(s.Config))
+	var nameStack [64]string
+	names := nameStack[:0]
 	for k := range s.Config {
 		names = append(names, k)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	for _, k := range names {
-		fmt.Fprintf(h, "cfg %s=%d\n", k, s.Config[k])
+		b = append(b, "cfg "...)
+		b = append(b, k...)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, s.Config[k], 10)
+		b = append(b, '\n')
 	}
-	fmt.Fprintf(h, "seed %d\n", s.Seed)
+	b = append(b, "seed "...)
+	b = strconv.AppendInt(b, s.Seed, 10)
+	b = append(b, '\n')
 	// The fault plan only enters the digest when non-zero: clean-run keys
 	// stay byte-stable across the feature's introduction (committed
 	// recordings and warm caches keep hitting), while any injected fault
 	// schedule yields a distinct key.
 	if !s.Faults.IsZero() {
-		fmt.Fprintf(h, "faults %#v\n", s.Faults)
+		b = fmt.Appendf(b, "faults %#v\n", s.Faults)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(b)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
 
-// The digest memo is keyed by pointer identity and bounded: drivers build a
-// fresh *Workload per Evaluate/Tune call, so an unbounded map would retain
-// every op stream for process lifetime. FIFO eviction caps retention at
-// wlMemoCap workloads; an evicted entry just recomputes.
-const wlMemoCap = 128
-
-var (
-	wlMu   sync.Mutex
-	wlMap  = map[*workload.Workload][]byte{}
-	wlFIFO []*workload.Workload
-)
-
-func workloadDigest(w *workload.Workload) []byte {
-	wlMu.Lock()
-	if d, ok := wlMap[w]; ok {
-		wlMu.Unlock()
-		return d
-	}
-	wlMu.Unlock()
-
-	h := sha256.New()
-	fmt.Fprintf(h, "workload %q iface %q scale %g compute %g dirs %d\n",
-		w.Name, w.Interface, w.Scale, w.ComputePerOp, w.DirCount)
-	var buf [40]byte
-	for _, fm := range w.Files {
-		binary.LittleEndian.PutUint32(buf[0:4], uint32(fm.Dir))
-		buf[4] = 0
-		if fm.Shared {
-			buf[4] = 1
-		}
-		h.Write(buf[:5])
-	}
-	for _, ph := range w.Phases {
-		fmt.Fprintf(h, "phase %q %d\n", ph.Name, ph.Start)
-	}
-	for _, ops := range w.Ranks {
-		hashOps(h, ops, buf[:])
-	}
-	d := h.Sum(nil)
-
-	wlMu.Lock()
-	defer wlMu.Unlock()
-	if prev, ok := wlMap[w]; ok {
-		return prev
-	}
-	wlMap[w] = d
-	wlFIFO = append(wlFIFO, w)
-	if len(wlFIFO) > wlMemoCap {
-		delete(wlMap, wlFIFO[0])
-		wlFIFO = wlFIFO[1:]
-	}
-	return d
+// renderedSpec is a cluster spec with its key text. Spec fields are all
+// scalars, and %#v renders them in declaration order with their field
+// names, so any spec change alters the key.
+type renderedSpec struct {
+	spec cluster.Spec
+	text string
 }
 
-// hashOps writes one rank's op stream into h using a fixed 33-byte binary
-// encoding per op; a rank boundary marker keeps (rank0: a,b)(rank1: c)
-// distinct from (rank0: a)(rank1: b,c).
-func hashOps(h hash.Hash, ops []workload.Op, buf []byte) {
-	for _, op := range ops {
-		buf[0] = byte(op.Type)
-		binary.LittleEndian.PutUint32(buf[1:5], uint32(op.File))
-		binary.LittleEndian.PutUint32(buf[5:9], uint32(op.Dir))
-		binary.LittleEndian.PutUint64(buf[9:17], uint64(op.Offset))
-		binary.LittleEndian.PutUint64(buf[17:25], uint64(op.Size))
-		binary.LittleEndian.PutUint32(buf[25:29], uint32(op.Index))
-		h.Write(buf[:29])
+// lastSpec holds the most recently rendered spec. A process keys nearly all
+// its runs against one cluster, so a single entry serves them; a different
+// spec just renders and replaces it.
+var lastSpec atomic.Pointer[renderedSpec]
+
+func specText(spec cluster.Spec) string {
+	if r := lastSpec.Load(); r != nil && r.spec == spec {
+		return r.text
 	}
-	h.Write([]byte{0xff, 'r', 'a', 'n', 'k'})
+	r := &renderedSpec{spec: spec, text: fmt.Sprintf("%#v\n", spec)}
+	lastSpec.Store(r)
+	return r.text
 }
 
 // Simulator is the default Platform: the in-process discrete-event Lustre

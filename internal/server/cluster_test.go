@@ -267,6 +267,36 @@ func TestInternalRunEndpoint(t *testing.T) {
 	}
 }
 
+// TestInternalRunRejectsOutOfRangeScale: the forwarded scale reaches
+// workload.Catalog straight from the wire, so anything outside the (0, 1.0]
+// band /v1/sweeps admits is a 400 bad_request that never builds a workload
+// or reaches the backend.
+func TestInternalRunRejectsOutOfRangeScale(t *testing.T) {
+	urls, _, sims := startCluster(t, 1, Options{})
+	spec := internalSpec(t, 7)
+	for _, scale := range []float64{0, -0.25, 1.5, 1e9} {
+		fw := peering.NewForwardRequest(spec, spec.Key())
+		fw.Scale = scale
+		body, err := json.Marshal(fw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, data := post(t, urls[0]+peering.InternalRunPath, string(body))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("scale %g: HTTP %d, want 400: %s", scale, resp.StatusCode, data)
+		}
+		var e struct {
+			Error ErrorBody `json:"error"`
+		}
+		if err := json.Unmarshal(data, &e); err != nil || e.Error.Code != CodeBadRequest {
+			t.Fatalf("scale %g: code = %q, want %q: %s", scale, e.Error.Code, CodeBadRequest, data)
+		}
+	}
+	if n := sims.Load(); n != 0 {
+		t.Fatalf("rejected forwards ran %d simulations", n)
+	}
+}
+
 // TestInternalRunDisabledWithoutPeering: a single-node server must not
 // accept forwarded runs — the endpoint is part of the fleet contract, not
 // the public surface.

@@ -3,6 +3,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -466,6 +467,13 @@ var catalog = map[string]func(ranks int, scale float64) *Workload{
 
 // Catalog returns the named workload at the given rank count and scale.
 // Recognised names match the paper's labels.
+//
+// The result is shared and immutable: equal (name, ranks, scale) calls
+// return the same *Workload from a bounded memo (see shared.go), sealed
+// with its content digest so run keys never re-hash its op streams.
+// Callers must not modify it. To derive a variant, copy the struct and
+// replace — never write through — the slices being changed; the copy is
+// unsealed and hashes its own content.
 func Catalog(name string, ranks int, scale float64) (*Workload, error) {
 	gen, ok := catalog[name]
 	if !ok {
@@ -474,7 +482,8 @@ func Catalog(name string, ranks int, scale float64) (*Workload, error) {
 		}
 		return nil, fmt.Errorf("workload: %w %q", ErrUnknown, name)
 	}
-	return gen(ranks, scale), nil
+	return shared.get(sharedKey{name: name, ranks: ranks, scale: math.Float64bits(scale)},
+		func() *Workload { return gen(ranks, scale) }), nil
 }
 
 // Nearest returns the catalog name closest to name by case-insensitive edit

@@ -78,6 +78,12 @@ type Workload struct {
 	ComputePerOp float64
 	// Scale records the applied scale factor for documentation.
 	Scale float64
+
+	// digest is the content digest Catalog sealed the workload with, and
+	// sealed the workload it belongs to: a struct copy inherits both, but
+	// its sealed pointer names the original, so Digest ignores it.
+	digest [32]byte
+	sealed *Workload
 }
 
 // NumRanks returns the number of MPI processes.
