@@ -14,9 +14,10 @@ import (
 // scratch pool warm, executing MORE ops of a path must not allocate
 // proportionally more. Each test measures the marginal allocations per
 // additional op — allocs(k2 ops) - allocs(k1 ops) over (k2 - k1) — so
-// per-run setup (runner, file tables, caches) cancels out and only per-op
-// costs remain. The seed implementation paid ~8 closures per data RPC plus
-// 2 per application op; the arena rewrite must keep the marginal cost ~0.
+// fixed per-run setup (runner, simulated servers) cancels out and only
+// per-op costs remain. The seed implementation paid ~8 closures per data RPC
+// plus 2 per application op; the arena rewrite must keep the marginal cost
+// ~0. TestPerFileSetupAllocFree applies the same measure to files.
 
 const allocMiB = int64(1 << 20)
 
@@ -28,7 +29,7 @@ func singleRankSpec() cluster.Spec {
 }
 
 // marginalAllocs runs build(k1) and build(k2) workloads to steady state and
-// returns the marginal allocations per additional op.
+// returns the marginal allocations per unit of k (an op, or a file).
 func marginalAllocs(t *testing.T, spec cluster.Spec, cfg params.Config, build func(k int) *workload.Workload, k1, k2 int) float64 {
 	t.Helper()
 	run := func(w *workload.Workload) {
@@ -156,4 +157,26 @@ func TestMetadataPathAllocFree(t *testing.T) {
 	}
 	cfg := params.DefaultConfig(params.Lustre())
 	checkMarginal(t, "metadata", marginalAllocs(t, singleRankSpec(), cfg, build, 256, 768))
+}
+
+// TestPerFileSetupAllocFree pins per-run setup: with the scratch warm, a
+// run over more files must not allocate more. Each file's state and its
+// lastOff, contigTo and raState rows, and the client caches' links over
+// file ids, are reset in the scratch's slabs rather than allocated per file.
+func TestPerFileSetupAllocFree(t *testing.T) {
+	build := func(k int) *workload.Workload {
+		files := make([]workload.FileMeta, k)
+		return &workload.Workload{
+			Name:     "alloc-files",
+			Ranks:    [][]workload.Op{{{Type: workload.OpCreate, File: 0, Dir: 0}, {Type: workload.OpStat, File: 0, Dir: -1}}},
+			Files:    files,
+			DirCount: 1,
+		}
+	}
+	cfg := params.DefaultConfig(params.Lustre())
+	perFile := marginalAllocs(t, singleRankSpec(), cfg, build, 256, 768)
+	if perFile > 0.05 {
+		t.Fatalf("run setup allocates %.3f per file with a warm scratch; want ~0", perFile)
+	}
+	t.Logf("setup: %.4f marginal allocs/file", perFile)
 }

@@ -86,7 +86,7 @@ func (r *runner) mediaTime(size int64, write bool) float64 {
 
 func (r *runner) doWrite(rank int, op workload.Op) {
 	node := r.node(rank)
-	f := r.files[op.File]
+	f := &r.files[op.File]
 	if !f.created {
 		// Writing through an unopened file is a workload bug in real life;
 		// adopt the file with current layout to stay robust.
@@ -155,7 +155,7 @@ func (r *runner) admitWrite(rank int) {
 	rs := &r.rankSt[rank]
 	op := r.w.Ranks[rank][rs.i]
 	node := r.node(rank)
-	f := r.files[op.File]
+	f := &r.files[op.File]
 	for rs.wRem > 0 {
 		c := r.chunkAt(f, rs.wOff, rs.wRem)
 		osc := r.osc[node][c.ost]
@@ -218,7 +218,7 @@ func (r *runner) wakeQuiesced(f *fileState) {
 }
 
 func (r *runner) doFsync(rank int, op workload.Op) {
-	f := r.files[op.File]
+	f := &r.files[op.File]
 	if f.pendingFlush == 0 {
 		r.opDone(rank)
 		return
@@ -232,7 +232,7 @@ func (r *runner) doFsync(rank int, op workload.Op) {
 
 func (r *runner) doRead(rank int, op workload.Op) {
 	node := r.node(rank)
-	f := r.files[op.File]
+	f := &r.files[op.File]
 	if !f.created {
 		r.assignLayout(f, op.File)
 	}

@@ -139,6 +139,11 @@ func decodeConfig(cfg params.Config, spec cluster.Spec, reg *params.Registry) (c
 // aborts the discrete-event loop itself within a bounded number of events,
 // so a SIGINT unwinds a long simulation promptly instead of waiting for the
 // run to drain.
+//
+// The caller owns the returned Result outright: it shares no memory with
+// the run or with the pooled scratch behind it, and its BarrierTimes and
+// Clamped slices own their backing arrays. Holding a Result, as the run
+// cache does, retains only the Result itself.
 func Run(ctx context.Context, w *workload.Workload, opts Options) (*Result, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
@@ -158,14 +163,13 @@ func Run(ctx context.Context, w *workload.Workload, opts Options) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	// The scratch (engine, op arenas, per-slot continuations) is pooled
-	// across runs; only the runner's per-run state is rebuilt, so repeated
-	// evaluations reach an allocation-free steady state on the op paths.
+	// The scratch (engine, op arenas, per-slot continuations, tables) is
+	// pooled across runs; only the simulated servers are rebuilt, so
+	// repeated evaluations reach an allocation-free steady state on the op
+	// paths and in per-file setup.
 	sc := acquireScratch(w.NumRanks())
 	defer sc.release()
-	r := newRunner(w, opts, cv, sc)
-	res, err := r.run(ctx)
-	sc.chunks = r.chunks // keep the grown stripeChunks scratch for reuse
+	res, err := newRunner(w, opts, cv, sc).run(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -1,116 +1,142 @@
 package lustre
 
-import (
-	"container/list"
-
-	"stellar/internal/workload"
-)
+import "stellar/internal/workload"
 
 // ----------------------------------------------------------------------
 // Client-side caches.
 // ----------------------------------------------------------------------
+
+// lru is a dense, index-linked LRU list over the file ids [0, n), which are
+// dense per workload. Slot n is the sentinel: next[n] is the most recently
+// used resident, prev[n] the least. in marks residency; the links of a
+// non-resident slot are stale and never read, so resetting a list clears
+// only in.
+type lru struct {
+	prev, next []int32
+	in         []bool
+	size       int // residents
+}
+
+// reset empties the list and sizes it for n file ids.
+func (l *lru) reset(n int) {
+	l.prev, l.next = grow(l.prev, n+1), grow(l.next, n+1)
+	l.in = grow(l.in, n)
+	clear(l.in)
+	l.size = 0
+	l.prev[n], l.next[n] = int32(n), int32(n)
+}
+
+// touch makes f the most recently used resident, adding it if absent.
+//
+//stellar:hotpath
+func (l *lru) touch(f int32) {
+	if l.in[f] {
+		l.unlink(f)
+	} else {
+		l.in[f] = true
+		l.size++
+	}
+	s := int32(len(l.in))
+	h := l.next[s]
+	l.prev[f], l.next[f] = s, h
+	l.prev[h], l.next[s] = f, f
+}
+
+func (l *lru) remove(f int32) {
+	l.in[f] = false
+	l.size--
+	l.unlink(f)
+}
+
+//stellar:hotpath
+func (l *lru) unlink(f int32) {
+	p, n := l.prev[f], l.next[f]
+	l.next[p], l.prev[n] = n, p
+}
+
+// back returns the least recently used resident.
+func (l *lru) back() int32 { return l.prev[len(l.in)] }
 
 // metaCache models the per-node DLM lock / attribute cache: files present
 // here can be stat'ed and opened without a server round trip. Statahead
 // prefetch populates it; unlink evicts. Capacity is ldlm.lru_size entries.
 type metaCache struct {
 	cap      int
-	lru      *list.List // front = most recent; values are int32 file ids
-	entries  map[int32]*list.Element
+	lru      lru
 	inflight map[int32][]int32 // statahead fetches in progress; waiting ranks
 }
 
-func newMetaCache(capacity int) *metaCache {
-	return &metaCache{
-		cap:      capacity,
-		lru:      list.New(),
-		entries:  make(map[int32]*list.Element),
-		inflight: make(map[int32][]int32),
+func (m *metaCache) reset(capacity, nfiles int) {
+	m.cap = capacity
+	m.lru.reset(nfiles)
+	if m.inflight == nil {
+		m.inflight = make(map[int32][]int32)
 	}
+	clear(m.inflight)
 }
 
 //stellar:hotpath
 func (m *metaCache) contains(f int32) bool {
-	e, ok := m.entries[f]
-	if ok {
-		m.lru.MoveToFront(e)
+	if !m.lru.in[f] {
+		return false
 	}
-	return ok
+	m.lru.touch(f)
+	return true
 }
 
 func (m *metaCache) insert(f int32) {
-	if e, ok := m.entries[f]; ok {
-		m.lru.MoveToFront(e)
-		return
-	}
-	m.entries[f] = m.lru.PushFront(f)
-	for m.lru.Len() > m.cap {
-		back := m.lru.Back()
-		m.lru.Remove(back)
-		delete(m.entries, back.Value.(int32))
+	m.lru.touch(f)
+	for m.lru.size > m.cap {
+		m.lru.remove(m.lru.back())
 	}
 }
 
 func (m *metaCache) evict(f int32) {
-	if e, ok := m.entries[f]; ok {
-		m.lru.Remove(e)
-		delete(m.entries, f)
+	if m.lru.in[f] {
+		m.lru.remove(f)
 	}
 }
 
 // pageCache tracks which files a node holds clean data for, bounded by
 // llite.max_cached_mb. Sizes are approximate (whole-file granularity).
 type pageCache struct {
-	cap     int64
-	total   int64
-	sizes   map[int32]int64
-	lru     *list.List
-	entries map[int32]*list.Element
+	cap   int64
+	total int64
+	lru   lru
+	sizes []int64 // per file; valid while resident
 }
 
-func newPageCache(capacity int64) *pageCache {
-	return &pageCache{
-		cap:     capacity,
-		sizes:   make(map[int32]int64),
-		lru:     list.New(),
-		entries: make(map[int32]*list.Element),
-	}
+func (p *pageCache) reset(capacity int64, nfiles int) {
+	p.cap, p.total = capacity, 0
+	p.lru.reset(nfiles)
+	p.sizes = grow(p.sizes, nfiles)
 }
 
 //stellar:hotpath
 func (p *pageCache) contains(f int32) bool {
-	_, ok := p.sizes[f]
-	return ok
+	return p.lru.in[f]
 }
 
 // touch records extra bytes cached for f and refreshes recency, evicting
 // least-recently-used files beyond capacity.
 func (p *pageCache) touch(f int32, addBytes int64) {
-	if e, ok := p.entries[f]; ok {
-		p.lru.MoveToFront(e)
-		p.sizes[f] += addBytes
-		p.total += addBytes
-	} else {
-		p.entries[f] = p.lru.PushFront(f)
-		p.sizes[f] = addBytes
-		p.total += addBytes
+	if !p.lru.in[f] {
+		p.sizes[f] = 0
 	}
-	for p.total > p.cap && p.lru.Len() > 1 {
-		back := p.lru.Back()
-		id := back.Value.(int32)
+	p.lru.touch(f)
+	p.sizes[f] += addBytes
+	p.total += addBytes
+	for p.total > p.cap && p.lru.size > 1 {
+		id := p.lru.back()
 		p.total -= p.sizes[id]
-		delete(p.sizes, id)
-		delete(p.entries, id)
-		p.lru.Remove(back)
+		p.lru.remove(id)
 	}
 }
 
 func (p *pageCache) drop(f int32) {
-	if e, ok := p.entries[f]; ok {
+	if p.lru.in[f] {
 		p.total -= p.sizes[f]
-		delete(p.sizes, f)
-		delete(p.entries, f)
-		p.lru.Remove(e)
+		p.lru.remove(f)
 	}
 }
 
@@ -158,7 +184,7 @@ const (
 
 func (r *runner) doCreate(rank int, op workload.Op) {
 	node := r.node(rank)
-	f := r.files[op.File]
+	f := &r.files[op.File]
 	r.assignLayout(f, op.File)
 	f.size = 0
 	for n := range f.contigTo {
@@ -176,7 +202,7 @@ func (r *runner) doCreate(rank int, op workload.Op) {
 
 func (r *runner) doOpen(rank int, op workload.Op) {
 	node := r.node(rank)
-	mc := r.metaCache[node]
+	mc := &r.metaCache[node]
 	if mc.contains(op.File) {
 		r.res.StatHits++
 		r.finishOp(rank, localHitTime*r.jitter(), true, false)
@@ -193,7 +219,7 @@ func (r *runner) doOpen(rank int, op workload.Op) {
 
 func (r *runner) doStat(rank int, op workload.Op) {
 	node := r.node(rank)
-	mc := r.metaCache[node]
+	mc := &r.metaCache[node]
 	r.triggerStatahead(rank, node, op)
 	if mc.contains(op.File) {
 		r.res.StatHits++
@@ -234,7 +260,7 @@ func (r *runner) triggerStatahead(rank, node int, op workload.Op) {
 		return
 	}
 	entries := r.dirFiles[op.Dir]
-	mc := r.metaCache[node]
+	mc := &r.metaCache[node]
 	limit := int(op.Index) + 1 + r.cfg.statahead
 	if limit > len(entries) {
 		limit = len(entries)
@@ -259,7 +285,7 @@ func (r *runner) triggerStatahead(rank, node int, op workload.Op) {
 
 func (r *runner) doClose(rank int, op workload.Op) {
 	node := r.node(rank)
-	f := r.files[op.File]
+	f := &r.files[op.File]
 	// Lustre sends MDS_CLOSE asynchronously: the application continues
 	// immediately while the close RPC occupies the modifying-RPC window.
 	f.pendingClose++
@@ -271,7 +297,7 @@ func (r *runner) doUnlink(rank int, op workload.Op) {
 	// Lustre permits unlinking files with outstanding opens or dirty data;
 	// object destruction happens server-side at last close.
 	node := r.node(rank)
-	f := r.files[op.File]
+	f := &r.files[op.File]
 	svc := r.spec.MDSUnlinkTime + r.spec.MDSPerStripeCost*float64(max(f.stripeCount-1, 0))
 	serial := svc * r.spec.DirLockSerial
 	r.metaRPC(node, gateMod, op.Dir, serial, svc-serial, mcUnlink, op.File, rank)

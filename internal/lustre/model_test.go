@@ -131,3 +131,25 @@ func TestExtraWorkloadsRun(t *testing.T) {
 		}
 	}
 }
+
+// TestResultOwnsItsMemory: a Result must stay intact while later runs
+// recycle the pooled scratch it came from, since caches hold Results
+// indefinitely.
+func TestResultOwnsItsMemory(t *testing.T) {
+	w := workload.MDWorkbench(workload.MDWorkbenchSpec{
+		Ranks: 4, DirsPerRank: 1, FilesPerDir: 5, FileSize: 1 << 10, Rounds: 2,
+	}, 1.0)
+	res := runOn(t, w, testSpec(), defaultCfg(), 3)
+	want := append([]float64(nil), res.BarrierTimes...)
+	if len(want) == 0 {
+		t.Fatal("workload has no barriers")
+	}
+	for seed := int64(4); seed < 8; seed++ {
+		runOn(t, w, testSpec(), defaultCfg(), seed)
+	}
+	for i := range want {
+		if res.BarrierTimes[i] != want[i] {
+			t.Fatalf("BarrierTimes[%d] changed from %g to %g after later runs", i, want[i], res.BarrierTimes[i])
+		}
+	}
+}

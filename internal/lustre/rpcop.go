@@ -1,6 +1,7 @@
 package lustre
 
 import (
+	"math/rand"
 	"sync"
 
 	"stellar/internal/sim"
@@ -167,14 +168,15 @@ func (f *fifo[T]) grow() {
 	f.head = 0
 }
 
-// scratch bundles everything reusable across runs: the simulation engine,
-// the three op arenas with their free lists and per-slot continuations, the
-// per-rank continuation table, and the stripeChunks scratch slice. The
-// closures capture the scratch and dereference sc.r at fire time, so the
-// same scratch serves a different runner on every recycled run.
+// scratch bundles everything reusable across runs: the simulation engine
+// and its rng, the three op arenas with their free lists and per-slot
+// continuations, the per-rank continuation table, and the runner's tables.
+// The closures capture the scratch and dereference sc.r at fire time, so
+// the same scratch serves a different runner on every recycled run.
 type scratch struct {
 	r   *runner
 	eng *sim.Engine
+	rng *rand.Rand
 
 	rpcs    []rpcOp
 	rpcFree []int32
@@ -186,10 +188,12 @@ type scratch struct {
 	reqFree []int32
 
 	ranks  []rankConts
-	chunks []chunk
+	tables tables
 }
 
-var scratchPool = sync.Pool{New: func() any { return &scratch{eng: sim.NewEngine()} }}
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{eng: sim.NewEngine(), rng: rand.New(rand.NewSource(1))}
+}}
 
 // acquireScratch checks a scratch out of the pool, ready for a fresh run:
 // engine at time zero, every arena slot free, at least nranks rank slots.
@@ -337,7 +341,7 @@ func (r *runner) rpcStep(i int32) {
 				return
 			}
 		}
-		op.setup = r.setupService(r.files[op.file], chunk{ost: int(op.ost), off: op.off, size: op.size})
+		op.setup = r.setupService(&r.files[op.file], chunk{ost: int(op.ost), off: op.off, size: op.size})
 		op.state = rsSetup
 		r.ostThreads[op.ost].Acquire(op.cont)
 	case rsSetup:
@@ -389,7 +393,7 @@ func (r *runner) completeRPC(i int32) {
 		osc.window.Leave()
 		osc.dirty -= size
 		r.wakeDirtyWaiters(osc)
-		f := r.files[file]
+		f := &r.files[file]
 		f.pendingFlush -= size
 		if f.pendingFlush == 0 {
 			r.wakeFlushWaiters(f)
@@ -431,7 +435,7 @@ func (r *runner) finishRead(q int32, hit bool) {
 	file, end := req.file, req.end
 	memcpy, seq := req.memcpy, req.seq
 	r.sc.freeReq(q)
-	f := r.files[file]
+	f := &r.files[file]
 	r.maybeReadahead(rank, node, file, f, end)
 	r.finishOp(rank, memcpy*r.jitter(), hit, seq)
 }
@@ -500,13 +504,13 @@ func (r *runner) completeMeta(i int32) {
 		r.metaInsert(node, file)
 		r.opDone(rank)
 	case mcClose:
-		f := r.files[file]
+		f := &r.files[file]
 		f.pendingClose--
 		if f.pendingClose == 0 && f.pendingFlush == 0 {
 			r.wakeQuiesced(f)
 		}
 	case mcUnlink:
-		f := r.files[file]
+		f := &r.files[file]
 		for n := 0; n < r.spec.ClientNodes; n++ {
 			r.metaCache[n].evict(file)
 			r.pageCache[n].drop(file)
@@ -515,7 +519,7 @@ func (r *runner) completeMeta(i int32) {
 		f.created = false
 		r.opDone(rank)
 	case mcStatahead:
-		mc := r.metaCache[node]
+		mc := &r.metaCache[node]
 		r.metaInsert(node, file)
 		ws := mc.inflight[file]
 		delete(mc.inflight, file)

@@ -41,29 +41,49 @@ type runner struct {
 	mds        *sim.Resource
 	dirLock    []*sim.Resource
 
-	osc       [][]*oscState // [node][ost]
-	mdc       []*sim.Gate   // per node, non-modifying metadata window
-	mdcMod    []*sim.Gate   // per node, modifying metadata window
-	metaCache []*metaCache  // per node lock/attribute cache
-	pageCache []*pageCache  // per node clean data cache
-	raBudget  []int64       // per node outstanding readahead bytes
+	osc    [][]*oscState // [node][ost]
+	mdc    []*sim.Gate   // per node, non-modifying metadata window
+	mdcMod []*sim.Gate   // per node, modifying metadata window
 
-	files    []*fileState
-	dirFiles [][]int32 // directory -> files in entry order
+	barrierCount int
+
+	// tables is a copy of the scratch's tables, reset for this run and
+	// handed back when it ends, so growth carries over to the next run.
+	tables
+
+	res Result
+}
+
+// tables holds a run's per-file, per-node and per-rank state. It lives in
+// the pooled scratch and is reset in place for each run, growing only when
+// a run needs more than any earlier one. Nothing in a Result aliases it.
+type tables struct {
+	metaCache []metaCache // per node lock/attribute cache
+	pageCache []pageCache // per node clean data cache
+	raBudget  []int64     // per node outstanding readahead bytes
+
+	// files' lastOff, contigTo and raState rows are sub-slices of one
+	// run-wide slab each.
+	files    []fileState
+	lastOff  []int64   // files × OSTs
+	contigTo []int64   // files × nodes
+	raState  []raState // files × ranks
+
+	dirFiles [][]int32 // directory -> files in entry order, rows of dirEnts
+	dirEnts  []int32
+	dirStart []int32 // dirFiles row bounds in dirEnts
 
 	// rankSt tracks each rank's position in its op program plus the
 	// in-flight op's bookkeeping. Ranks execute ops strictly sequentially,
 	// so one slot per rank suffices.
 	rankSt []rankState
 
-	barrierWaitQ []int32 // ranks parked at the current barrier
-	barrierCount int
-
 	statStreaks []statStreak // per rank
 
-	chunks []chunk // stripeChunks scratch, recycled through the pool
+	barrierWaitQ []int32   // ranks parked at the current barrier
+	barrierTimes []float64 // copied into the Result when the run ends
 
-	res Result
+	chunks []chunk // stripeChunks scratch
 }
 
 // rankState is one rank's program counter and current-op scratch.
@@ -135,37 +155,35 @@ type rpcGroup struct {
 	size int64
 }
 
+// newRunner builds a run's state over the scratch: the simulated servers
+// are fresh, the tables are the scratch's, reset in place.
 func newRunner(w *workload.Workload, opts Options, cv cfgValues, sc *scratch) *runner {
 	eng := sc.eng
 	spec := opts.Spec
+	sc.rng.Seed(opts.Seed)
 	r := &runner{
-		eng:  eng,
-		sc:   sc,
-		spec: spec,
-		cfg:  cv,
-		w:    w,
-		rng:  rand.New(rand.NewSource(opts.Seed)),
-		sink: opts.Trace,
+		eng:    eng,
+		sc:     sc,
+		spec:   spec,
+		cfg:    cv,
+		w:      w,
+		rng:    sc.rng,
+		sink:   opts.Trace,
+		tables: sc.tables,
 	}
 	if !opts.Faults.IsZero() {
 		r.faults = opts.Faults.compile(spec.OSTCount)
 	}
 	sc.r = r
-	r.chunks = sc.chunks
 	nodes := spec.ClientNodes
 	r.nodeNIC = make([]*sim.Pipe, nodes)
 	r.mdc = make([]*sim.Gate, nodes)
 	r.mdcMod = make([]*sim.Gate, nodes)
-	r.metaCache = make([]*metaCache, nodes)
-	r.pageCache = make([]*pageCache, nodes)
-	r.raBudget = make([]int64, nodes)
 	r.osc = make([][]*oscState, nodes)
 	for n := 0; n < nodes; n++ {
 		r.nodeNIC[n] = sim.NewPipe(eng, "nic", spec.NICBandwidth)
 		r.mdc[n] = sim.NewGate(eng, "mdc", cv.mdcWindow)
 		r.mdcMod[n] = sim.NewGate(eng, "mdc-mod", cv.mdcModWin)
-		r.metaCache[n] = newMetaCache(cv.lruSize)
-		r.pageCache[n] = newPageCache(cv.cachedBytes)
 		r.osc[n] = make([]*oscState, spec.OSTCount)
 		for o := 0; o < spec.OSTCount; o++ {
 			r.osc[n][o] = &oscState{window: sim.NewGate(eng, "osc", cv.rpcWindow)}
@@ -184,30 +202,78 @@ func newRunner(w *workload.Workload, opts Options, cv cfgValues, sc *scratch) *r
 	for d := range r.dirLock {
 		r.dirLock[d] = sim.NewResource(eng, "dir", 1)
 	}
-	r.files = make([]*fileState, len(w.Files))
-	for i := range r.files {
-		r.files[i] = &fileState{
-			lastOff:  make([]int64, spec.OSTCount),
-			contigTo: make([]int64, nodes),
-			raState:  make([]raState, w.NumRanks()),
-		}
-		for o := range r.files[i].lastOff {
-			r.files[i].lastOff[o] = -1
-		}
-	}
-	r.rankSt = make([]rankState, w.NumRanks())
-	for i := range r.rankSt {
-		r.rankSt[i].i = -1
-	}
-	r.statStreaks = make([]statStreak, w.NumRanks())
-	for i := range r.statStreaks {
-		r.statStreaks[i] = statStreak{dir: -1, last: -2}
-	}
-	r.dirFiles = make([][]int32, w.DirCount)
-	for fi, fm := range w.Files {
-		r.dirFiles[fm.Dir] = append(r.dirFiles[fm.Dir], int32(fi))
-	}
+	r.tables.reset(w, nodes, spec.OSTCount, cv)
 	return r
+}
+
+// reset sizes the tables for w on nodes client nodes and osts OSTs and
+// sets them to a fresh run's state.
+func (t *tables) reset(w *workload.Workload, nodes, osts int, cv cfgValues) {
+	nfiles, nranks := len(w.Files), w.NumRanks()
+	t.files = grow(t.files, nfiles)
+	t.lastOff = grow(t.lastOff, nfiles*osts)
+	t.contigTo = grow(t.contigTo, nfiles*nodes)
+	t.raState = grow(t.raState, nfiles*nranks)
+	for i := range t.lastOff {
+		t.lastOff[i] = -1
+	}
+	clear(t.contigTo)
+	clear(t.raState)
+	for i := range t.files {
+		t.files[i] = fileState{
+			lastOff:  t.lastOff[i*osts : (i+1)*osts : (i+1)*osts],
+			contigTo: t.contigTo[i*nodes : (i+1)*nodes : (i+1)*nodes],
+			raState:  t.raState[i*nranks : (i+1)*nranks : (i+1)*nranks],
+		}
+	}
+
+	t.metaCache = grow(t.metaCache, nodes)
+	t.pageCache = grow(t.pageCache, nodes)
+	t.raBudget = grow(t.raBudget, nodes)
+	clear(t.raBudget)
+	for n := 0; n < nodes; n++ {
+		t.metaCache[n].reset(cv.lruSize, nfiles)
+		t.pageCache[n].reset(cv.cachedBytes, nfiles)
+	}
+
+	t.rankSt = grow(t.rankSt, nranks)
+	t.statStreaks = grow(t.statStreaks, nranks)
+	for i := range t.rankSt {
+		t.rankSt[i] = rankState{i: -1}
+		t.statStreaks[i] = statStreak{dir: -1, last: -2}
+	}
+	t.barrierWaitQ = t.barrierWaitQ[:0]
+	t.barrierTimes = t.barrierTimes[:0]
+
+	// Directory entries in file order, laid out by a counting sort: each
+	// directory's row is an empty window of dirEnts with exactly its
+	// capacity, so the appends below never reallocate.
+	t.dirStart = grow(t.dirStart, w.DirCount+1)
+	clear(t.dirStart)
+	for _, fm := range w.Files {
+		t.dirStart[fm.Dir+1]++
+	}
+	for d := 1; d <= w.DirCount; d++ {
+		t.dirStart[d] += t.dirStart[d-1]
+	}
+	t.dirEnts = grow(t.dirEnts, nfiles)
+	t.dirFiles = grow(t.dirFiles, w.DirCount)
+	for d := range t.dirFiles {
+		lo, hi := t.dirStart[d], t.dirStart[d+1]
+		t.dirFiles[d] = t.dirEnts[lo:lo:hi]
+	}
+	for fi, fm := range w.Files {
+		t.dirFiles[fm.Dir] = append(t.dirFiles[fm.Dir], int32(fi))
+	}
+}
+
+// grow returns s resliced to length n, reallocating only when its capacity
+// is short. The contents are stale: callers reset what they use.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func (r *runner) node(rank int) int { return rank / r.spec.ProcsPerNode }
@@ -224,11 +290,17 @@ func (r *runner) run(ctx context.Context) (*Result, error) {
 		r.eng.At(0, r.sc.ranks[rank].next)
 	}
 	wall, err := r.eng.RunContext(ctx, sim.DefaultCheckEvery)
+	r.sc.tables = r.tables
 	if err != nil {
 		return nil, err
 	}
-	r.res.WallTime = wall
-	return &r.res, nil
+	// Copy the result out: a pointer into the runner would keep the
+	// scratch alive in every cache that holds the Result.
+	res := new(Result)
+	*res = r.res
+	res.WallTime = wall
+	res.BarrierTimes = append([]float64(nil), r.barrierTimes...)
+	return res, nil
 }
 
 // step executes the op rankSt[rank].i currently points at.
@@ -308,7 +380,7 @@ func (r *runner) doBarrier(rank int) {
 	r.barrierCount++
 	r.barrierWaitQ = append(r.barrierWaitQ, int32(rank))
 	if r.barrierCount == r.w.NumRanks() {
-		r.res.BarrierTimes = append(r.res.BarrierTimes, r.eng.Now())
+		r.barrierTimes = append(r.barrierTimes, r.eng.Now())
 		q := r.barrierWaitQ
 		r.barrierWaitQ = q[:0]
 		r.barrierCount = 0

@@ -281,6 +281,23 @@ func TestReplayerRejectsSinkOnUntracedRecording(t *testing.T) {
 	}
 }
 
+// TestReplayerRejectsMislabelledRecording: a well-formed recording filed
+// under another spec's key must fail the replay, not serve the wrong result.
+func TestReplayerRejectsMislabelledRecording(t *testing.T) {
+	dir := t.TempDir()
+	recorded, wanted := testRunSpec(t, 7), testRunSpec(t, 8)
+	if _, err := (&Recorder{Inner: Simulator{}, Dir: dir}).Run(context.Background(), recorded); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(filepath.Join(dir, recorded.Key()+".json"), filepath.Join(dir, wanted.Key()+".json")); err != nil {
+		t.Fatal(err)
+	}
+	_, err := (&Replayer{Dir: dir}).Run(context.Background(), wanted)
+	if err == nil || !strings.Contains(err.Error(), "mislabelled") {
+		t.Fatalf("want a mislabelled-recording error, got %v", err)
+	}
+}
+
 func TestRecorderKeepsTracedRecording(t *testing.T) {
 	dir := t.TempDir()
 	rec := &Recorder{Inner: Simulator{}, Dir: dir}

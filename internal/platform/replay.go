@@ -66,7 +66,9 @@ func stageRecording(dir string, rec *Recording) (string, error) {
 
 // ReadRecording loads the recording for key from dir. A missing file is
 // reported with os.IsNotExist-compatible wrapping so callers can distinguish
-// "never recorded" from a corrupt or unreadable file.
+// "never recorded" from a corrupt or unreadable file. A well-formed file
+// whose key field disagrees with its name is mislabelled, and serving it
+// would hand back another spec's result, so it is an error too.
 func ReadRecording(dir, key string) (*Recording, error) {
 	data, err := os.ReadFile(filepath.Join(dir, key+".json"))
 	if err != nil {
@@ -75,6 +77,9 @@ func ReadRecording(dir, key string) (*Recording, error) {
 	var rec Recording
 	if err := json.Unmarshal(data, &rec); err != nil {
 		return nil, fmt.Errorf("platform: corrupt recording %s: %w", key[:12], err)
+	}
+	if rec.Key != key {
+		return nil, fmt.Errorf("platform: mislabelled recording %s: its key field reads %.12s", key[:12], rec.Key)
 	}
 	return &rec, nil
 }

@@ -2,6 +2,7 @@ package runcache
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -392,31 +393,55 @@ func TestPersistenceWarmStart(t *testing.T) {
 // TestPersistenceSurvivesCorruptRecording: a torn or garbage <key>.json must
 // fall back to the backend (re-measuring and rewriting), never fail the run.
 func TestPersistenceSurvivesCorruptRecording(t *testing.T) {
-	dir := t.TempDir()
 	ctx := context.Background()
 	spec := testRunSpec(t, 5)
-	if err := os.WriteFile(filepath.Join(dir, spec.Key()+".json"), []byte("{torn"), 0o644); err != nil {
+	// A well-formed recording of another spec, filed under spec's key.
+	other := testRunSpec(t, 6)
+	res, err := platform.Simulator{}.Run(ctx, other)
+	if err != nil {
 		t.Fatal(err)
 	}
-	backend := newCountingBackend(0)
-	cache := NewWithOptions(backend, Options{Dir: dir})
-	if _, err := cache.Run(ctx, spec); err != nil {
+	mislabelled, err := json.Marshal(platform.Recording{Key: other.Key(), Workload: other.Workload.Name, Seed: other.Seed, Result: *res})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := backend.callsFor(spec.Key()); got != 1 {
-		t.Fatalf("backend ran %d times for a corrupt recording, want 1", got)
-	}
-	s := cache.Stats()
-	if s.DiskErrs == 0 {
-		t.Fatalf("corrupt recording not counted: %+v", s)
-	}
-	// The rewrite repaired the file: a fresh cache now warm-starts from it.
-	fresh := NewWithOptions(newCountingBackend(0), Options{Dir: dir})
-	if _, err := fresh.Run(ctx, spec); err != nil {
-		t.Fatal(err)
-	}
-	if s := fresh.Stats(); s.DiskHits != 1 || s.Misses != 0 {
-		t.Fatalf("repaired recording did not warm-start: %+v", s)
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"torn", []byte("{torn")},
+		{"mislabelled", mislabelled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, spec.Key()+".json"), tc.body, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			backend := newCountingBackend(0)
+			cache := NewWithOptions(backend, Options{Dir: dir})
+			got, err := cache.Run(ctx, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.WallTime == res.WallTime {
+				t.Fatal("served the mislabelled recording's result")
+			}
+			if got := backend.callsFor(spec.Key()); got != 1 {
+				t.Fatalf("backend ran %d times for a bad recording, want 1", got)
+			}
+			s := cache.Stats()
+			if s.DiskErrs == 0 {
+				t.Fatalf("bad recording not counted: %+v", s)
+			}
+			// The rewrite repaired the file: a fresh cache now warm-starts from it.
+			fresh := NewWithOptions(newCountingBackend(0), Options{Dir: dir})
+			if _, err := fresh.Run(ctx, spec); err != nil {
+				t.Fatal(err)
+			}
+			if s := fresh.Stats(); s.DiskHits != 1 || s.Misses != 0 {
+				t.Fatalf("repaired recording did not warm-start: %+v", s)
+			}
+		})
 	}
 }
 
