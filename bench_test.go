@@ -34,6 +34,7 @@ import (
 	"stellar/internal/search"
 	"stellar/internal/server"
 	"stellar/internal/sim"
+	"stellar/internal/stats"
 	"stellar/internal/workload"
 )
 
@@ -132,11 +133,11 @@ func benchEvaluate(b *testing.B, parallel int) {
 		AnalysisModel: simllm.GPT4o, ExtractModel: simllm.GPT4o,
 		Scale: 0.25, Parallel: parallel,
 	})
-	cfg := params.DefaultConfig(eng.Registry())
+	req := core.EvalRequest{Workload: "IOR_16M", Config: params.DefaultConfig(eng.Registry()), Reps: 8, SeedBase: 99}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Evaluate(context.Background(), "IOR_16M", cfg, 8, 99); err != nil {
+		if _, _, err := eng.Evaluate(context.Background(), req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -158,12 +159,12 @@ func benchEvaluateWithPlatform(b *testing.B, p platform.Platform) {
 		AnalysisModel: simllm.GPT4o, ExtractModel: simllm.GPT4o,
 		Scale: 0.25, Platform: p,
 	})
-	cfg := params.DefaultConfig(eng.Registry())
+	req := core.EvalRequest{Workload: "IOR_16M", Config: params.DefaultConfig(eng.Registry()), Reps: 8, SeedBase: 99}
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := sim.TotalFired()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Evaluate(context.Background(), "IOR_16M", cfg, 8, 99); err != nil {
+		if _, _, err := eng.Evaluate(context.Background(), req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -172,33 +173,10 @@ func benchEvaluateWithPlatform(b *testing.B, p platform.Platform) {
 
 // BenchmarkEvaluateUncached re-simulates the eight repetitions on every
 // Evaluate call — what every baseline measurement paid before the run
-// cache.
+// cache. The workload build and the config snapshot are shared across the
+// eight, as on the /v1/evaluate, /v1/sweeps, and /v1/tune paths.
 func BenchmarkEvaluateUncached(b *testing.B) {
 	benchEvaluateWithPlatform(b, platform.Simulator{})
-}
-
-// BenchmarkEvaluateBatch drives Engine.EvaluateBatch directly: one workload
-// build and one pooled procfs snapshot shared across the eight repetitions,
-// the path /v1/evaluate, /v1/sweeps, and /v1/tune all sit on. Compare with
-// BenchmarkEvaluateUncached (same simulations through the public Evaluate
-// wrapper) — the per-rep walls are bit-identical by construction, asserted
-// in internal/core's batch test.
-func BenchmarkEvaluateBatch(b *testing.B) {
-	eng := core.New(simllm.New(simllm.GPT4o), core.Options{
-		Spec: cluster.Default(), TuningModel: simllm.Claude37,
-		AnalysisModel: simllm.GPT4o, ExtractModel: simllm.GPT4o,
-		Scale: 0.25, Platform: platform.Simulator{},
-	})
-	cfg := params.DefaultConfig(eng.Registry())
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := sim.TotalFired()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := eng.EvaluateBatch(context.Background(), "IOR_16M", cfg, 8, 99); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportEvents(b, start)
 }
 
 // BenchmarkEvaluateCached serves repeated configurations from the
@@ -411,10 +389,13 @@ func benchTuneSearch(b *testing.B, plat platform.Platform) {
 	opts := search.Options{
 		Workload: "IOR_16M", Candidates: 8, MaxReps: 3, Seed: 7, Parallel: 4,
 	}
+	eval := func(ctx context.Context, wl string, cfg params.Config, reps int, seedBase int64) ([]float64, stats.Summary, error) {
+		return eng.Evaluate(ctx, core.EvalRequest{Workload: wl, Config: cfg, Reps: reps, SeedBase: seedBase})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := search.Run(context.Background(), eng.EvaluateSeries, opts, nil); err != nil {
+		if _, err := search.Run(context.Background(), eval, opts, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

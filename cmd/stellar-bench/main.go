@@ -372,7 +372,7 @@ func evalPass(ctx context.Context, pass int) (benchRecord, error) {
 	}
 	cfg := params.DefaultConfig(evalEng.Registry())
 	eval := func() error {
-		_, err := evalEng.Evaluate(ctx, "IOR_16M", cfg, evalReps, evalSeed)
+		_, _, err := evalEng.Evaluate(ctx, core.EvalRequest{Workload: "IOR_16M", Config: cfg, Reps: evalReps, SeedBase: evalSeed})
 		return err
 	}
 	if pass == 1 {

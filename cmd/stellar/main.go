@@ -43,6 +43,7 @@ import (
 	"stellar/internal/lustre"
 	"stellar/internal/params"
 	"stellar/internal/search"
+	"stellar/internal/stats"
 	"stellar/internal/workload"
 )
 
@@ -172,11 +173,13 @@ func runSearch(ctx context.Context, eng *core.Engine, name string, candidates, r
 	if err != nil {
 		fatal(err)
 	}
-	eval := eng.EvaluateSeries
+	var eval search.EvalFunc = func(ctx context.Context, wl string, cfg params.Config, reps int, seedBase int64) ([]float64, stats.Summary, error) {
+		return eng.Evaluate(ctx, core.EvalRequest{Workload: wl, Config: cfg, Reps: reps, SeedBase: seedBase})
+	}
 	if objective == "robust" {
 		plans := plan.Variants(variants)
 		eval = search.PerturbedEval(variants, func(ctx context.Context, wl string, cfg params.Config, reps int, seedBase int64, v int) ([]float64, error) {
-			walls, _, err := eng.EvaluateBatchFaults(ctx, wl, cfg, reps, seedBase, plans[v])
+			walls, _, err := eng.Evaluate(ctx, core.EvalRequest{Workload: wl, Config: cfg, Reps: reps, SeedBase: seedBase, Faults: &plans[v]})
 			return walls, err
 		})
 	}

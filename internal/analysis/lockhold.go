@@ -17,6 +17,8 @@ import (
 //   - channel sends, receives, and selects;
 //   - pool.Queue calls (Do and DoWait park on channels; even Submit takes
 //     the queue's own lock, nesting lock orders across packages);
+//   - flight.Group calls (a waiter parks on the owner's channel, and the
+//     run cache's owner takes the shard lock: a Do under it deadlocks);
 //   - file and network I/O (os, net, net/http, io, bufio, and the
 //     platform recording helpers, which hit the disk).
 //
@@ -26,7 +28,7 @@ import (
 // exactly like the runtime does.
 var LockHold = &Analyzer{
 	Name: "lockhold",
-	Doc:  "no channel ops, pool.Queue calls, or file/network I/O while a runcache or server mutex is held",
+	Doc:  "no channel ops, pool.Queue or flight.Group calls, or file/network I/O while a runcache or server mutex is held",
 	Run:  runLockHold,
 }
 
@@ -274,8 +276,9 @@ func (w *lockWalker) checkCallUnderLock(call *ast.CallExpr, held map[string]toke
 		return
 	}
 	if named := recvNamed(fn); named != nil {
-		if named.Obj().Name() == "Queue" && lastSegment(funcPkgPath(fn)) == "pool" {
-			w.violation(call.Pos(), "pool.Queue."+fn.Name()+" call", held)
+		switch typ := lastSegment(funcPkgPath(fn)) + "." + named.Obj().Name(); typ {
+		case "pool.Queue", "flight.Group":
+			w.violation(call.Pos(), typ+"."+fn.Name()+" call", held)
 			return
 		}
 	}

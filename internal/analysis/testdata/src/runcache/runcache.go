@@ -3,9 +3,11 @@
 package runcache
 
 import (
+	"context"
 	"os"
 	"sync"
 
+	"flight"
 	"platform"
 	"pool"
 )
@@ -15,6 +17,7 @@ type shard struct {
 	data  map[string][]byte
 	ready chan struct{}
 	q     *pool.Queue
+	fl    flight.Group[[]byte]
 }
 
 func (s *shard) sendHeld(v []byte) {
@@ -35,6 +38,28 @@ func (s *shard) queueHeld(f func()) {
 	s.mu.Lock()
 	s.q.Do(f) // want `pool\.Queue\.Do call while s\.mu is held`
 	s.mu.Unlock()
+}
+
+// flightHeld deadlocks for real: an owner's fn takes s.mu to publish.
+func (s *shard) flightHeld(ctx context.Context) ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.fl.Do(ctx, "k", func() ([]byte, error) { return s.data["k"], nil }) // want `flight\.Group\.Do call while s\.mu is held`
+}
+
+// flightAfter is the correct shape: check under the lock, wait after.
+func (s *shard) flightAfter(ctx context.Context) ([]byte, error) {
+	s.mu.Lock()
+	v, ok := s.data["k"]
+	s.mu.Unlock()
+	if ok {
+		return v, nil
+	}
+	return s.fl.Do(ctx, "k", func() ([]byte, error) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.data["k"], nil
+	})
 }
 
 func (s *shard) ioHeld(path string) error {

@@ -9,11 +9,11 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"stellar/internal/cluster"
+	"stellar/internal/flight"
 	"stellar/internal/lustre"
 	"stellar/internal/params"
 	"stellar/internal/platform"
@@ -121,14 +121,6 @@ func sub(a, b uint64) uint64 {
 	return a - b
 }
 
-// flight is one in-progress forward; duplicate callers for the same key
-// wait on done instead of dialing the owner again.
-type flight struct {
-	done chan struct{}
-	res  *platform.RunResult
-	err  error
-}
-
 // Fleet is a platform.Platform that routes each run to its rendezvous
 // owner. Owned keys (and single-node rings, traced runs, and unreachable
 // owners) execute on the local cache; everything else is forwarded to the
@@ -140,13 +132,13 @@ type Fleet struct {
 	local  platform.Platform
 	client *http.Client
 
-	mu       sync.Mutex
-	inflight map[string]*flight
+	// flights coalesces duplicate forwards; its Joined count is
+	// CoalescedRemote.
+	flights flight.Group[*platform.RunResult]
 
 	localRuns   atomic.Uint64
 	forwards    atomic.Uint64
 	forwardErrs atomic.Uint64
-	coalesced   atomic.Uint64
 	served      atomic.Uint64
 }
 
@@ -177,7 +169,6 @@ func New(self string, peers []string, local platform.Platform) (*Fleet, error) {
 				IdleConnTimeout:     90 * time.Second,
 			},
 		},
-		inflight: make(map[string]*flight),
 	}, nil
 }
 
@@ -202,7 +193,7 @@ func (f *Fleet) Stats() Stats {
 		Local:           f.localRuns.Load(),
 		Forwards:        f.forwards.Load(),
 		ForwardErrs:     f.forwardErrs.Load(),
-		CoalescedRemote: f.coalesced.Load(),
+		CoalescedRemote: f.flights.Joined(),
 		ServedForwards:  f.served.Load(),
 	}
 }
@@ -222,36 +213,9 @@ func (f *Fleet) Run(ctx context.Context, spec platform.RunSpec) (*platform.RunRe
 		f.localRuns.Add(1)
 		return f.local.Run(ctx, spec)
 	}
-	for {
-		f.mu.Lock()
-		if fl, ok := f.inflight[key]; ok {
-			f.mu.Unlock()
-			f.coalesced.Add(1)
-			select {
-			case <-fl.done:
-				// Mirror runcache's flight contract: if the flight leader's
-				// own context died, its error says nothing about the run —
-				// a still-live waiter retries as the new leader.
-				if fl.err != nil && isCtxErr(fl.err) && ctx.Err() == nil {
-					continue
-				}
-				return fl.res, fl.err
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		fl := &flight{done: make(chan struct{})}
-		f.inflight[key] = fl
-		f.mu.Unlock()
-
-		fl.res, fl.err = f.runRemote(ctx, owner, key, spec)
-
-		f.mu.Lock()
-		delete(f.inflight, key)
-		f.mu.Unlock()
-		close(fl.done)
-		return fl.res, fl.err
-	}
+	return f.flights.Do(ctx, key, func() (*platform.RunResult, error) {
+		return f.runRemote(ctx, owner, key, spec)
+	})
 }
 
 // runRemote forwards one run to owner, falling back to local execution when
@@ -310,8 +274,4 @@ func firstLine(data []byte) string {
 		data = data[:200]
 	}
 	return string(data)
-}
-
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }

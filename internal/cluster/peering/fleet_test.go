@@ -3,6 +3,7 @@ package peering
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -196,7 +197,7 @@ func TestFleetCancellationDoesNotFallBack(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := fleet.Run(ctx, spec); err == nil || !isCtxErr(err) {
+	if _, err := fleet.Run(ctx, spec); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run with dead ctx = %v, want context error", err)
 	}
 	if n := localPlat.runs.Load(); n != 0 {

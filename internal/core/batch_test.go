@@ -13,7 +13,7 @@ import (
 // workload build, one pooled procfs render, one shared config snapshot, the
 // simulator's recycled scratch across reps — changes nothing observable:
 // every repetition's wall time is bit-identical to running that repetition
-// alone through the per-rep entry point with the same derived seed.
+// alone as a one-rep Evaluate with the same derived seed.
 func TestEvaluateBatchMatchesPerRepEvaluate(t *testing.T) {
 	eng := testEngine(t, nil)
 	ctx := context.Background()
@@ -24,7 +24,8 @@ func TestEvaluateBatchMatchesPerRepEvaluate(t *testing.T) {
 	const reps = 4
 	const seedBase = 99
 
-	walls, sum, err := eng.EvaluateBatch(ctx, "IOR_16M", cfg, reps, seedBase)
+	req := EvalRequest{Workload: "IOR_16M", Config: cfg, Reps: reps, SeedBase: seedBase}
+	walls, sum, err := eng.Evaluate(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestEvaluateBatchMatchesPerRepEvaluate(t *testing.T) {
 	for i := 0; i < reps; i++ {
 		// Per-rep evaluation of repetition i uses the same seed function:
 		// seedBase + i*101 with a single rep at index 0.
-		single, _, err := eng.EvaluateSeries(ctx, "IOR_16M", cfg, 1, seedBase+int64(i)*101)
+		single, _, err := eng.Evaluate(ctx, EvalRequest{Workload: "IOR_16M", Config: cfg, Reps: 1, SeedBase: seedBase + int64(i)*101})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +44,7 @@ func TestEvaluateBatchMatchesPerRepEvaluate(t *testing.T) {
 		}
 	}
 	// The summary must summarize exactly the returned series.
-	again, sum2, err := eng.EvaluateBatch(ctx, "IOR_16M", cfg, reps, seedBase)
+	again, sum2, err := eng.Evaluate(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,15 +70,18 @@ func TestEvaluateBatchFaults(t *testing.T) {
 	const reps = 3
 	const seedBase = 99
 
-	clean, _, err := testEngine(t, nil).EvaluateBatch(ctx, "IOR_16M", cfg, reps, seedBase)
+	req := EvalRequest{Workload: "IOR_16M", Config: cfg, Reps: reps, SeedBase: seedBase}
+	faulted := req
+	faulted.Faults = &plan
+	clean, _, err := testEngine(t, nil).Evaluate(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, sumA, err := testEngine(t, nil).EvaluateBatchFaults(ctx, "IOR_16M", cfg, reps, seedBase, plan)
+	a, sumA, err := testEngine(t, nil).Evaluate(ctx, faulted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, sumB, err := testEngine(t, nil).EvaluateBatchFaults(ctx, "IOR_16M", cfg, reps, seedBase, plan)
+	b, sumB, err := testEngine(t, nil).Evaluate(ctx, faulted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,24 +93,27 @@ func TestEvaluateBatchFaults(t *testing.T) {
 	}
 
 	// Options.Faults is the default for every trial; an explicit zero plan
-	// passed to EvaluateBatchFaults must still mean "healthy cluster".
+	// passed as EvalRequest.Faults must still mean "healthy cluster".
 	faultedEngine := testEngine(t, func(o *Options) { o.Faults = plan })
-	viaDefault, _, err := faultedEngine.EvaluateBatch(ctx, "IOR_16M", cfg, reps, seedBase)
+	viaDefault, _, err := faultedEngine.Evaluate(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(viaDefault, a) {
 		t.Fatal("engine-default plan diverged from the explicit per-call plan")
 	}
-	override, _, err := faultedEngine.EvaluateBatchFaults(ctx, "IOR_16M", cfg, reps, seedBase, lustre.FaultPlan{})
+	override := req
+	override.Faults = &lustre.FaultPlan{}
+	overridden, _, err := faultedEngine.Evaluate(ctx, override)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(override, clean) {
+	if !reflect.DeepEqual(overridden, clean) {
 		t.Fatal("zero-plan override did not restore the clean series")
 	}
 
-	if _, _, err := testEngine(t, nil).EvaluateBatchFaults(ctx, "IOR_16M", cfg, 1, 1, lustre.FaultPlan{Severity: 2}); err == nil {
+	invalid := EvalRequest{Workload: "IOR_16M", Config: cfg, Reps: 1, SeedBase: 1, Faults: &lustre.FaultPlan{Severity: 2}}
+	if _, _, err := testEngine(t, nil).Evaluate(ctx, invalid); err == nil {
 		t.Fatal("invalid fault plan accepted")
 	}
 }

@@ -20,13 +20,14 @@ import (
 func TestEvaluateParallelMatchesSerial(t *testing.T) {
 	cfg := params.DefaultConfig(params.Lustre())
 	serialEng := testEngine(t, nil)
-	serial, err := serialEng.Evaluate(context.Background(), "IOR_16M", cfg, 8, 42)
+	req := EvalRequest{Workload: "IOR_16M", Config: cfg, Reps: 8, SeedBase: 42}
+	_, serial, err := serialEng.Evaluate(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
 		parEng := testEngine(t, func(o *Options) { o.Parallel = workers })
-		par, err := parEng.Evaluate(context.Background(), "IOR_16M", cfg, 8, 42)
+		_, par, err := parEng.Evaluate(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +79,7 @@ func TestEvaluateCancellation(t *testing.T) {
 	eng := testEngine(t, func(o *Options) { o.Parallel = 2 })
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := eng.Evaluate(ctx, "IOR_16M", params.DefaultConfig(eng.Registry()), 8, 42)
+	_, _, err := eng.Evaluate(ctx, EvalRequest{Workload: "IOR_16M", Config: params.DefaultConfig(eng.Registry()), Reps: 8, SeedBase: 42})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -46,7 +46,8 @@ type Options struct {
 	// Faults is the engine-wide fault plan: every trial — evaluation reps
 	// and tuning-loop runs alike — executes under it. The zero value is a
 	// healthy cluster and leaves results and cache keys bit-identical to a
-	// pre-fault engine. EvaluateBatchFaults overrides it per call.
+	// pre-fault engine. An Evaluate call overrides it with a non-nil
+	// EvalRequest.Faults.
 	Faults lustre.FaultPlan
 
 	// Parallel bounds the worker pool Evaluate fans its repetitions over.
@@ -217,58 +218,48 @@ func (e *Engine) snapshotConfig(cfg params.Config) (params.Config, error) {
 	return snap, nil
 }
 
-// Evaluate measures a configuration over reps repetitions with distinct
-// seeds, as the paper's eight-run averaging does. Repetitions fan out over
-// a worker pool bounded by Options.Parallel; each rep's seed is a pure
-// function of its index and each result lands in its own slot, so the
-// summary is bit-identical to a serial run.
-func (e *Engine) Evaluate(ctx context.Context, workloadName string, cfg params.Config, reps int, seedBase int64) (stats.Summary, error) {
-	_, sum, err := e.EvaluateSeries(ctx, workloadName, cfg, reps, seedBase)
-	return sum, err
+// EvalRequest is one measurement: a configuration run Reps times on a
+// workload, repetition i seeded SeedBase + i*101.
+type EvalRequest struct {
+	Workload string
+	Config   params.Config
+	Reps     int
+	SeedBase int64
+	// Faults, when non-nil, replaces Options.Faults for this call, taken as
+	// given: a zero plan is a healthy cluster even when Options.Faults is
+	// set, so a robust search sweeps clean and faulted variants on one engine.
+	Faults *lustre.FaultPlan
 }
 
-// EvaluateSeries is Evaluate exposed job-shaped: it additionally returns the
-// per-repetition wall times in repetition order, so a serving layer can hand
-// clients the raw measurement series alongside the summary without a second
-// pass. The returned slice is owned by the caller.
-func (e *Engine) EvaluateSeries(ctx context.Context, workloadName string, cfg params.Config, reps int, seedBase int64) ([]float64, stats.Summary, error) {
-	return e.EvaluateBatch(ctx, workloadName, cfg, reps, seedBase)
-}
-
-// EvaluateBatch is the batched form of EvaluateSeries: the workload is
-// built and the configuration rendered over defaults exactly once, and the
-// resulting immutable snapshot is shared by every repetition, so the
-// per-rep cost is one platform run and nothing else. Each rep's seed stays
-// the same pure function of its index as in per-rep Evaluate — seedBase +
-// i*101 — so wall times, summaries, and run-cache keys are bit-identical to
-// evaluating each repetition individually. /v1/evaluate, /v1/sweeps, and
-// /v1/tune all reach the simulator through here.
-func (e *Engine) EvaluateBatch(ctx context.Context, workloadName string, cfg params.Config, reps int, seedBase int64) ([]float64, stats.Summary, error) {
-	return e.EvaluateBatchFaults(ctx, workloadName, cfg, reps, seedBase, e.opts.Faults)
-}
-
-// EvaluateBatchFaults is EvaluateBatch under an explicit fault plan,
-// overriding the engine default for this call only. The plan is taken as
-// given — a zero plan means a healthy cluster even when Options.Faults is
-// set — which is what lets the robustness objective sweep clean-plus-faulted
-// variants through one engine.
-func (e *Engine) EvaluateBatchFaults(ctx context.Context, workloadName string, cfg params.Config, reps int, seedBase int64, faults lustre.FaultPlan) ([]float64, stats.Summary, error) {
+// Evaluate measures req.Config over req.Reps repetitions, as the paper's
+// eight-run averaging does, and returns the per-rep wall times (owned by the
+// caller) with their summary. The workload and the rendered config snapshot
+// are built once and shared by every rep; reps fan out over a pool bounded
+// by Options.Parallel. A rep's seed depends only on its index, so walls,
+// summaries and run-cache keys are bit-identical to a serial run or to
+// one-rep calls. The figures, the search, /v1/evaluate, /v1/sweeps and
+// /v1/tune all measure through here.
+func (e *Engine) Evaluate(ctx context.Context, req EvalRequest) ([]float64, stats.Summary, error) {
+	faults := e.opts.Faults
+	if req.Faults != nil {
+		faults = *req.Faults
+	}
 	if err := faults.Validate(); err != nil {
 		return nil, stats.Summary{}, fmt.Errorf("core: %w", err)
 	}
-	w, err := workload.Catalog(workloadName, e.opts.Spec.TotalRanks(), e.opts.Scale)
+	w, err := workload.Catalog(req.Workload, e.opts.Spec.TotalRanks(), e.opts.Scale)
 	if err != nil {
 		return nil, stats.Summary{}, err
 	}
-	snap, err := e.snapshotConfig(cfg)
+	snap, err := e.snapshotConfig(req.Config)
 	if err != nil {
 		return nil, stats.Summary{}, err
 	}
-	walls := make([]float64, reps)
-	err = pool.Map(ctx, e.opts.Parallel, reps, func(ctx context.Context, i int) error {
+	walls := make([]float64, req.Reps)
+	err = pool.Map(ctx, e.opts.Parallel, req.Reps, func(ctx context.Context, i int) error {
 		res, err := e.plat.Run(ctx, platform.RunSpec{
 			Spec: e.opts.Spec, Workload: w, Config: snap,
-			Seed: seedBase + int64(i)*101, Faults: faults,
+			Seed: req.SeedBase + int64(i)*101, Faults: faults,
 		})
 		if err != nil {
 			return err

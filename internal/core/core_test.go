@@ -161,7 +161,7 @@ func TestAblationsDegrade(t *testing.T) {
 
 func TestEvaluateRepeatsWithVariance(t *testing.T) {
 	eng := testEngine(t, nil)
-	s, err := eng.Evaluate(context.Background(), "IOR_16M", params.DefaultConfig(eng.Registry()), 4, 99)
+	_, s, err := eng.Evaluate(context.Background(), EvalRequest{Workload: "IOR_16M", Config: params.DefaultConfig(eng.Registry()), Reps: 4, SeedBase: 99})
 	if err != nil {
 		t.Fatal(err)
 	}

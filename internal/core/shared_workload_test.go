@@ -60,7 +60,7 @@ func TestSharedWorkloadIsNotMutatedByUse(t *testing.T) {
 }
 
 // TestWarmEvaluateBatchAllocs pins the cost of a warm hit: once every rep
-// of an 8-rep batch is in the run cache, the whole EvaluateBatch — shared
+// of an 8-rep batch is in the run cache, the whole Evaluate — shared
 // workload lookup, config snapshot, eight keys and cache hits, summary —
 // stays within 100 allocations, fanned out over a worker pool as the
 // serving path does.
@@ -70,14 +70,14 @@ func TestWarmEvaluateBatchAllocs(t *testing.T) {
 		o.Platform = runcache.New(platform.Simulator{}, 0)
 		o.Parallel = 4
 	})
-	cfg := params.DefaultConfig(eng.Registry())
+	req := EvalRequest{Workload: "IOR_16M", Config: params.DefaultConfig(eng.Registry()), Reps: 8, SeedBase: 99}
 	evaluate := func() {
-		if _, _, err := eng.EvaluateBatch(ctx, "IOR_16M", cfg, 8, 99); err != nil {
+		if _, _, err := eng.Evaluate(ctx, req); err != nil {
 			t.Fatal(err)
 		}
 	}
 	evaluate() // the cold pass simulates and fills the cache
 	if got := testing.AllocsPerRun(50, evaluate); got > 100 {
-		t.Fatalf("a warm 8-rep EvaluateBatch allocates %.0f times, want <= 100", got)
+		t.Fatalf("a warm 8-rep Evaluate allocates %.0f times, want <= 100", got)
 	}
 }

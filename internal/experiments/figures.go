@@ -18,6 +18,7 @@ import (
 	"stellar/internal/protocol"
 	"stellar/internal/rag"
 	"stellar/internal/rules"
+	"stellar/internal/stats"
 	"stellar/internal/workload"
 )
 
@@ -148,23 +149,18 @@ func Fig5TuningPerformance(ctx context.Context, c Config) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig5 %s: %w", name, err)
 		}
-		defCfg := params.DefaultConfig(reg)
 		expCfg, err := expert.Config(reg, name)
 		if err != nil {
 			return nil, err
 		}
-		defS, err := eng.Evaluate(ctx, name, defCfg, c.Reps, c.Seed+1000)
-		if err != nil {
-			return nil, err
+		var sums [3]stats.Summary // default, expert, STELLAR
+		for i, cfg := range []params.Config{params.DefaultConfig(reg), expCfg, res.BestCfg} {
+			req := core.EvalRequest{Workload: name, Config: cfg, Reps: c.Reps, SeedBase: c.Seed + 1000}
+			if _, sums[i], err = eng.Evaluate(ctx, req); err != nil {
+				return nil, err
+			}
 		}
-		expS, err := eng.Evaluate(ctx, name, expCfg, c.Reps, c.Seed+1000)
-		if err != nil {
-			return nil, err
-		}
-		stS, err := eng.Evaluate(ctx, name, res.BestCfg, c.Reps, c.Seed+1000)
-		if err != nil {
-			return nil, err
-		}
+		defS, expS, stS := sums[0], sums[1], sums[2]
 		return []string{
 			name,
 			fmt.Sprintf("%.3f±%.3f", defS.Mean, defS.CI90),

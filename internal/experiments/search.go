@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"strings"
 
+	"stellar/internal/core"
 	"stellar/internal/params"
 	"stellar/internal/search"
+	"stellar/internal/stats"
 )
 
 // TuningSearch is the search job family: instead of measuring fixed grids
@@ -31,7 +33,10 @@ func TuningSearch(ctx context.Context, c Config) (*Table, error) {
 		Env: params.SystemEnv(
 			int64(c.Spec.MemoryMBPerNode), int64(c.Spec.OSTCount), nil),
 	}
-	res, err := search.Run(ctx, eng.EvaluateSeries, opts, nil)
+	eval := func(ctx context.Context, wl string, cfg params.Config, reps int, seedBase int64) ([]float64, stats.Summary, error) {
+		return eng.Evaluate(ctx, core.EvalRequest{Workload: wl, Config: cfg, Reps: reps, SeedBase: seedBase})
+	}
+	res, err := search.Run(ctx, eval, opts, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -4,12 +4,12 @@
 // alone recur per figure arm, per sweep point, and per repetition — and
 // every one of those is a deterministic function of its content-addressed
 // RunSpec key. The cache collapses them to one backend run apiece: a
-// bounded LRU holds completed results, and an in-flight table singleflights
+// bounded LRU holds completed results, and a flight.Group singleflights
 // concurrent requests for the same key so a parallel fan-out issues exactly
 // one simulation per unique spec.
 //
 // The cache is sharded by key prefix: each shard owns its own mutex, LRU,
-// and in-flight table, so the serving layer's parallel fan-out contends on
+// and flight.Group, so the serving layer's parallel fan-out contends on
 // 1/N of the lock traffic a single-mutex cache would see. Keys are hex
 // SHA-256 digests — uniformly distributed — so shards stay balanced.
 //
@@ -29,11 +29,11 @@ package runcache
 import (
 	"container/list"
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"sync"
 
+	"stellar/internal/flight"
 	"stellar/internal/platform"
 )
 
@@ -124,23 +124,17 @@ type entry struct {
 	res *platform.RunResult
 }
 
-// flight is one in-progress backend run other callers can wait on.
-type flight struct {
-	done chan struct{}
-	res  *platform.RunResult
-	err  error
-}
-
 // shard is one independently locked slice of the cache: its own LRU,
-// in-flight table, and counters. A key maps to exactly one shard, so
-// singleflight semantics are unchanged by sharding.
+// flight group, and counters. A key maps to exactly one shard, so
+// singleflight semantics are unchanged by sharding. sh.mu is never held
+// across a flights call: an owner's run takes sh.mu to publish.
 type shard struct {
 	mu       sync.Mutex
 	lru      *list.List // front = most recently used; values are *entry
 	items    map[string]*list.Element
-	inflight map[string]*flight
 	capacity int
-	stats    Stats
+	stats    Stats // Coalesced is read from flights, not kept here
+	flights  flight.Group[*platform.RunResult]
 }
 
 // Options configures a cache beyond the New defaults.
@@ -203,7 +197,6 @@ func NewWithOptions(inner platform.Platform, opts Options) *Cache {
 		c.shards[i] = &shard{
 			lru:      list.New(),
 			items:    make(map[string]*list.Element),
-			inflight: make(map[string]*flight),
 			capacity: cap,
 		}
 	}
@@ -253,10 +246,10 @@ func hexNibble(ch byte) byte {
 func (c *Cache) Stats() Stats {
 	var out Stats
 	for _, sh := range c.shards {
+		out.Coalesced += sh.flights.Joined()
 		sh.mu.Lock()
 		out.Hits += sh.stats.Hits
 		out.Misses += sh.stats.Misses
-		out.Coalesced += sh.stats.Coalesced
 		out.Bypassed += sh.stats.Bypassed
 		out.Evictions += sh.stats.Evictions
 		out.DiskHits += sh.stats.DiskHits
@@ -288,52 +281,42 @@ func (c *Cache) Run(ctx context.Context, spec platform.RunSpec) (*platform.RunRe
 	}
 	key := spec.Key()
 	sh := c.shardFor(key)
-
-	for {
-		sh.mu.Lock()
-		if el, ok := sh.items[key]; ok {
-			sh.lru.MoveToFront(el)
-			sh.stats.Hits++
-			res := el.Value.(*entry).res
-			sh.mu.Unlock()
+	if res, ok := sh.lookup(key); ok {
+		return res, nil
+	}
+	return sh.flights.Do(ctx, key, func() (*platform.RunResult, error) {
+		// A flight that completed between the miss above and this one
+		// starting has already published its result: serve it.
+		if res, ok := sh.lookup(key); ok {
 			return res, nil
 		}
-		if f, ok := sh.inflight[key]; ok {
-			sh.stats.Coalesced++
-			sh.mu.Unlock()
-			select {
-			case <-f.done:
-				if f.err != nil && isCtxErr(f.err) && ctx.Err() == nil {
-					continue // owner cancelled, we weren't: try again
-				}
-				return f.res, f.err
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		f := &flight{done: make(chan struct{})}
-		sh.inflight[key] = f
-		sh.mu.Unlock()
-
 		res, fromDisk, err := c.load(ctx, spec, key)
-		f.res, f.err = res, err
-
 		sh.mu.Lock()
-		delete(sh.inflight, key)
 		if err == nil {
 			sh.insertLocked(key, res)
-			if fromDisk {
-				sh.stats.DiskHits++
-			} else {
-				sh.stats.Misses++
-			}
-		} else if !fromDisk {
+		}
+		if fromDisk {
+			sh.stats.DiskHits++
+		} else {
 			sh.stats.Misses++
 		}
 		sh.mu.Unlock()
-		close(f.done)
 		return res, err
+	})
+}
+
+// lookup returns key's resident result, counting a hit and refreshing its
+// LRU position.
+func (sh *shard) lookup(key string) (*platform.RunResult, bool) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	el, ok := sh.items[key]
+	if !ok {
+		return nil, false
 	}
+	sh.lru.MoveToFront(el)
+	sh.stats.Hits++
+	return el.Value.(*entry).res, true
 }
 
 // load resolves a cache miss: from the persistence directory when one is
@@ -374,10 +357,6 @@ func (c *Cache) diskErr() {
 	sh.mu.Lock()
 	sh.stats.DiskErrs++
 	sh.mu.Unlock()
-}
-
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 func (sh *shard) insertLocked(key string, res *platform.RunResult) {

@@ -117,17 +117,17 @@ func TestEvaluateBitIdentityCachedVsUncached(t *testing.T) {
 	cache := New(platform.Simulator{}, 0)
 	cached := mk(cache)
 
-	cfg := params.DefaultConfig(params.Lustre())
+	req := core.EvalRequest{Workload: "IOR_16M", Config: params.DefaultConfig(params.Lustre()), Reps: 4, SeedBase: 99}
 	ctx := context.Background()
-	want, err := uncached.Evaluate(ctx, "IOR_16M", cfg, 4, 99)
+	_, want, err := uncached.Evaluate(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	miss, err := cached.Evaluate(ctx, "IOR_16M", cfg, 4, 99)
+	_, miss, err := cached.Evaluate(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hit, err := cached.Evaluate(ctx, "IOR_16M", cfg, 4, 99)
+	_, hit, err := cached.Evaluate(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,5 +527,58 @@ func TestCoalescedWaiterSurvivesOwnersCancellation(t *testing.T) {
 	}
 	if res := <-waiterRes; res == nil {
 		t.Fatal("waiter got no result")
+	}
+}
+
+// panicOnceBackend panics on its first Run and simulates normally after.
+type panicOnceBackend struct {
+	inner    platform.Platform
+	panicked bool
+	runs     int
+}
+
+func (b *panicOnceBackend) Name() string { return "panic-once" }
+
+func (b *panicOnceBackend) Run(ctx context.Context, spec platform.RunSpec) (*platform.RunResult, error) {
+	b.runs++
+	if !b.panicked {
+		b.panicked = true
+		panic("backend exploded")
+	}
+	return b.inner.Run(ctx, spec)
+}
+
+// TestPanickingRunDoesNotStrandTheKey: a backend panic reaches the caller
+// (the server recovers it into a 500), and the key's flight is released on
+// the way out, so the next Run for the same spec simulates and returns
+// instead of waiting out its deadline on a flight that never closes.
+func TestPanickingRunDoesNotStrandTheKey(t *testing.T) {
+	backend := &panicOnceBackend{inner: platform.Simulator{}}
+	cache := New(backend, 0)
+	spec := testRunSpec(t, 13)
+
+	func() {
+		defer func() {
+			if r := recover(); r != "backend exploded" {
+				t.Fatalf("first Run: recovered %v, want the backend's panic", r)
+			}
+		}()
+		cache.Run(context.Background(), spec)
+	}()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	res, err := cache.Run(ctx, spec)
+	if err != nil {
+		t.Fatalf("second Run after a recovered panic: %v", err)
+	}
+	if res == nil || res.WallTime <= 0 {
+		t.Fatalf("second Run returned no measurement: %+v", res)
+	}
+	if backend.runs != 2 {
+		t.Fatalf("backend ran %d times, want 2 (the panic, then a re-simulation)", backend.runs)
+	}
+	if st := cache.Stats(); st.Coalesced != 0 || st.Misses != 1 {
+		t.Fatalf("stats %+v: want the second Run counted as a miss, not coalesced", st)
 	}
 }

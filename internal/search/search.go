@@ -6,7 +6,7 @@
 // at eta times the repetitions until one winner remains at full precision.
 //
 // All measurements flow through a caller-supplied EvalFunc, which in
-// practice is core.Engine.EvaluateSeries — so every trial descends through
+// practice wraps core.Engine.Evaluate — so every trial descends through
 // the platform abstraction and the shared run cache. That makes the search
 // cache-aware for free: promoting a survivor from r to eta*r repetitions
 // re-requests the same (config, seed) runs it already paid for, and the
@@ -34,8 +34,9 @@ import (
 )
 
 // EvalFunc measures one configuration over reps repetitions and returns the
-// per-repetition wall times plus their summary. core.Engine.EvaluateSeries
-// satisfies it directly; serving layers wrap it in admission control.
+// per-repetition wall times plus their summary. In practice it wraps
+// core.Engine.Evaluate, with the arguments as the fields of a
+// core.EvalRequest; serving layers add admission control around it.
 type EvalFunc func(ctx context.Context, workload string, cfg params.Config, reps int, seedBase int64) ([]float64, stats.Summary, error)
 
 // Objective scalarizes one candidate's measurement into a score; lower is

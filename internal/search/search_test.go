@@ -310,7 +310,10 @@ func TestSearchThroughSharedCache(t *testing.T) {
 	}
 
 	run := func() (*Result, string) {
-		res, err := Run(context.Background(), eng.EvaluateSeries, opts, nil)
+		eval := func(ctx context.Context, wl string, cfg params.Config, reps int, seedBase int64) ([]float64, stats.Summary, error) {
+			return eng.Evaluate(ctx, core.EvalRequest{Workload: wl, Config: cfg, Reps: reps, SeedBase: seedBase})
+		}
+		res, err := Run(context.Background(), eval, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -394,7 +394,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 					err = fmt.Errorf("evaluate panicked: %v", r)
 				}
 			}()
-			return s.eng.EvaluateBatchFaults(ctx, req.Workload, cfg, reps, seed, faults)
+			return s.eng.Evaluate(ctx, core.EvalRequest{Workload: req.Workload, Config: cfg, Reps: reps, SeedBase: seed, Faults: &faults})
 		}()
 		if err != nil {
 			runErr = err

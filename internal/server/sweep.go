@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"stellar/internal/core"
 	"stellar/internal/params"
 	"stellar/internal/pool"
 	"stellar/internal/runcache"
@@ -219,7 +220,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 							err = fmt.Errorf("sweep cell panicked: %v", r)
 						}
 					}()
-					return s.eng.EvaluateSeries(ctx, req.Workload, cfg, reps, seed)
+					return s.eng.Evaluate(ctx, core.EvalRequest{Workload: req.Workload, Config: cfg, Reps: reps, SeedBase: seed})
 				}()
 				if err != nil {
 					cell.Error = err.Error()

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"time"
 
+	"stellar/internal/core"
 	"stellar/internal/lustre"
 	"stellar/internal/params"
 	"stellar/internal/pool"
@@ -264,7 +265,7 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 						err = fmt.Errorf("tune evaluation panicked: %v", r)
 					}
 				}()
-				return s.eng.EvaluateBatchFaults(ctx, wl, cfg, reps, seedBase, plan)
+				return s.eng.Evaluate(ctx, core.EvalRequest{Workload: wl, Config: cfg, Reps: reps, SeedBase: seedBase, Faults: &plan})
 			}()
 		})
 		if qerr != nil {

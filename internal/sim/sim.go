@@ -287,15 +287,6 @@ func NewResource(eng *Engine, name string, capacity int) *Resource {
 // Name returns the resource's diagnostic name.
 func (r *Resource) Name() string { return r.name }
 
-// Capacity returns the number of parallel servers.
-func (r *Resource) Capacity() int { return r.capacity }
-
-// InUse returns the number of busy servers.
-func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen returns the number of waiters.
-func (r *Resource) QueueLen() int { return r.queue.len() }
-
 // SetCapacity grows or shrinks the server pool. Shrinking below the number
 // of busy servers is allowed; the pool drains naturally.
 func (r *Resource) SetCapacity(c int) {
@@ -448,12 +439,6 @@ func NewGate(eng *Engine, name string, width int) *Gate {
 	return &Gate{res: NewResource(eng, name, width)}
 }
 
-// SetWidth adjusts the window width.
-func (g *Gate) SetWidth(w int) { g.res.SetCapacity(w) }
-
-// Width returns the current window width.
-func (g *Gate) Width() int { return g.res.Capacity() }
-
 // Enter acquires a token and runs in once admitted.
 func (g *Gate) Enter(in func()) { g.res.Acquire(in) }
 
@@ -461,7 +446,7 @@ func (g *Gate) Enter(in func()) { g.res.Acquire(in) }
 func (g *Gate) Leave() { g.res.Release() }
 
 // InFlight returns the number of tokens currently held.
-func (g *Gate) InFlight() int { return g.res.InUse() }
+func (g *Gate) InFlight() int { return g.res.inUse }
 
 // Stats exposes gate queueing statistics.
 func (g *Gate) Stats() Stats { return g.res.Stats() }
@@ -504,6 +489,3 @@ func (w *WaitGroup) Wait(fn func()) {
 	}
 	w.done = fn
 }
-
-// Outstanding returns the current count.
-func (w *WaitGroup) Outstanding() int { return w.n }
