@@ -228,7 +228,8 @@ func BenchmarkServeEvaluate(b *testing.B) {
 func benchServeConcurrent(b *testing.B, shards int) {
 	b.Helper()
 	srv, err := server.New(server.Options{
-		Scale: 0.25, Workers: 32, Backlog: 64, CacheShards: shards,
+		Scale: 0.25, Workers: 32, Backlog: 64,
+		Cache: runcache.NewWithOptions(platform.Simulator{}, runcache.Options{Shards: shards}),
 	})
 	if err != nil {
 		b.Fatal(err)

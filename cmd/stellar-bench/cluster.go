@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"stellar/internal/experiments"
+	"stellar/internal/platform"
 	"stellar/internal/pool"
 	"stellar/internal/runcache"
 	"stellar/internal/server"
@@ -37,8 +38,8 @@ func runServeNode(ctx context.Context, addr, peersCSV, cacheDir string, scale fl
 	srv, err := server.New(server.Options{
 		Scale: scale, Seed: seed, Reps: reps,
 		Workers: 4, Backlog: 64,
-		CacheDir: cacheDir,
-		Peers:    splitList(peersCSV), Self: addr,
+		Cache: runcache.NewWithOptions(platform.Simulator{}, runcache.Options{Dir: cacheDir}),
+		Peers: splitList(peersCSV), Self: addr,
 	})
 	if err != nil {
 		return err

@@ -398,6 +398,68 @@ func evalPass(ctx context.Context, pass int) (benchRecord, error) {
 	return rec, nil
 }
 
+// startServer runs an in-process stellar-serve instance on an ephemeral
+// loopback port for one pass, serving from cache (a default cache over plat
+// when the flags stacked none). n bounds the pass: the backlog, the sweep
+// grid and the tune pool. stop closes the listener, then the server.
+func startServer(plat platform.Platform, cache *runcache.Cache, cfg experiments.Config, n int) (srv *server.Server, base string, stop func(), err error) {
+	if cache == nil {
+		cache = runcache.New(plat, 0)
+	}
+	srv, err = server.New(server.Options{
+		Cache: cache,
+		Scale: cfg.Scale, Seed: cfg.Seed, Reps: cfg.Reps,
+		Workers: cfg.Parallel, Parallel: 1,
+		Backlog: n, MaxSweepCells: n, MaxTuneCandidates: n,
+	})
+	if err != nil {
+		return nil, "", nil, err
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		srv.Close()
+		return nil, "", nil, err
+	}
+	hs := &http.Server{Handler: srv.Handler()}
+	go hs.Serve(ln)
+	stop = func() {
+		hs.Close()
+		srv.Close()
+	}
+	return srv, "http://" + ln.Addr().String(), stop, nil
+}
+
+// readFooter posts body to url, consumes the NDJSON stream to completion,
+// and decodes its last line (the footer) into footer.
+func readFooter(ctx context.Context, url, body string, footer any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, strings.NewReader(body))
+	if err != nil {
+		return err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(resp.Body)
+		return fmt.Errorf("HTTP %d: %s", resp.StatusCode, msg)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	var last []byte
+	for sc.Scan() {
+		last = append(last[:0], sc.Bytes()...)
+	}
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	if err := json.Unmarshal(last, footer); err != nil {
+		return fmt.Errorf("parsing footer: %w", err)
+	}
+	return nil
+}
+
 // servePass measures tuning-as-a-service throughput: an in-process
 // stellar-serve instance on an ephemeral port, n identical evaluate
 // requests fanned over the experiment worker pool, recorded like any other
@@ -405,24 +467,13 @@ func evalPass(ctx context.Context, pass int) (benchRecord, error) {
 // shared run cache, so the rate reflects serving overhead at steady state.
 func servePass(ctx context.Context, plat platform.Platform, cache *runcache.Cache, cfg experiments.Config, n int) (benchRecord, error) {
 	cfg = cfg.Defaults()
-	srv, err := server.New(server.Options{
-		Backend: plat, Cache: cache,
-		Scale: cfg.Scale, Seed: cfg.Seed, Reps: cfg.Reps,
-		Workers: cfg.Parallel, Parallel: 1, Backlog: n,
-	})
+	srv, base, stop, err := startServer(plat, cache, cfg, n)
 	if err != nil {
 		return benchRecord{}, err
 	}
-	defer srv.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return benchRecord{}, err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	defer hs.Close()
+	defer stop()
 
-	url := "http://" + ln.Addr().String() + "/v1/evaluate"
+	url := base + "/v1/evaluate"
 	body := fmt.Sprintf(`{"workload":"IOR_16M","reps":%d,"seed":%d}`, cfg.Reps, cfg.Seed)
 	before := srv.Cache().Stats()
 	meter := newSimMeter()
@@ -467,22 +518,11 @@ func servePass(ctx context.Context, plat platform.Platform, cache *runcache.Cach
 // the disk directory absorbed.
 func sweepPass(ctx context.Context, plat platform.Platform, cache *runcache.Cache, cfg experiments.Config, n int) (benchRecord, error) {
 	cfg = cfg.Defaults()
-	srv, err := server.New(server.Options{
-		Backend: plat, Cache: cache,
-		Scale: cfg.Scale, Seed: cfg.Seed, Reps: cfg.Reps,
-		Workers: cfg.Parallel, Parallel: 1, Backlog: n, MaxSweepCells: n,
-	})
+	srv, base, stop, err := startServer(plat, cache, cfg, n)
 	if err != nil {
 		return benchRecord{}, err
 	}
-	defer srv.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return benchRecord{}, err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	defer hs.Close()
+	defer stop()
 
 	// n cells: n distinct values of one well-understood parameter, so every
 	// cell is a unique spec and the recorded miss count means what it says.
@@ -498,32 +538,9 @@ func sweepPass(ctx context.Context, plat platform.Platform, cache *runcache.Cach
 	before := srv.Cache().Stats()
 	meter := newSimMeter()
 	t0 := time.Now()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+ln.Addr().String()+"/v1/sweeps", strings.NewReader(body))
-	if err != nil {
-		return benchRecord{}, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return benchRecord{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(resp.Body)
-		return benchRecord{}, fmt.Errorf("HTTP %d: %s", resp.StatusCode, msg)
-	}
 	var footer server.SweepFooter
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var last []byte
-	for sc.Scan() {
-		last = append(last[:0], sc.Bytes()...)
-	}
-	if err := sc.Err(); err != nil {
+	if err := readFooter(ctx, base+"/v1/sweeps", body, &footer); err != nil {
 		return benchRecord{}, err
-	}
-	if err := json.Unmarshal(last, &footer); err != nil {
-		return benchRecord{}, fmt.Errorf("parsing sweep footer: %w", err)
 	}
 	if footer.Done != n {
 		return benchRecord{}, fmt.Errorf("sweep completed %d/%d cells (%d failed)", footer.Done, n, footer.Failed)
@@ -547,54 +564,20 @@ func sweepPass(ctx context.Context, plat platform.Platform, cache *runcache.Cach
 // misses and the byte-identical winner.
 func tunePass(ctx context.Context, plat platform.Platform, cache *runcache.Cache, cfg experiments.Config, n int) (benchRecord, error) {
 	cfg = cfg.Defaults()
-	srv, err := server.New(server.Options{
-		Backend: plat, Cache: cache,
-		Scale: cfg.Scale, Seed: cfg.Seed, Reps: cfg.Reps,
-		Workers: cfg.Parallel, Parallel: 1, Backlog: n, MaxTuneCandidates: n,
-	})
+	srv, base, stop, err := startServer(plat, cache, cfg, n)
 	if err != nil {
 		return benchRecord{}, err
 	}
-	defer srv.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return benchRecord{}, err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	defer hs.Close()
+	defer stop()
 
 	body := fmt.Sprintf(`{"workload":"IOR_16M","candidates":%d,"max_reps":%d,"seed":%d}`,
 		n, cfg.Reps, cfg.Seed)
 	before := srv.Cache().Stats()
 	meter := newSimMeter()
 	t0 := time.Now()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+ln.Addr().String()+"/v1/tune", strings.NewReader(body))
-	if err != nil {
-		return benchRecord{}, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return benchRecord{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(resp.Body)
-		return benchRecord{}, fmt.Errorf("HTTP %d: %s", resp.StatusCode, msg)
-	}
 	var footer server.TuneFooter
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var last []byte
-	for sc.Scan() {
-		last = append(last[:0], sc.Bytes()...)
-	}
-	if err := sc.Err(); err != nil {
+	if err := readFooter(ctx, base+"/v1/tune", body, &footer); err != nil {
 		return benchRecord{}, err
-	}
-	if err := json.Unmarshal(last, &footer); err != nil {
-		return benchRecord{}, fmt.Errorf("parsing tune footer: %w", err)
 	}
 	if footer.Cancelled || footer.Error != "" {
 		return benchRecord{}, fmt.Errorf("search did not complete: cancelled=%v error=%q", footer.Cancelled, footer.Error)

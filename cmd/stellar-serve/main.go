@@ -116,21 +116,18 @@ func splitPeers(csv string) []string {
 // serve runs the server until ctx is cancelled. onReady, when non-nil, is
 // called with the bound address once the listener is up.
 func serve(ctx context.Context, cfg serveConfig, onReady func(addr string)) error {
-	plat, cache, err := cfg.pf.Build()
+	// The service exists to share one cache across callers, so -cache is
+	// implied: the flags always stack one over the selected backend,
+	// honouring -cache-size, -cache-shards, and -cache-dir, so
+	// `stellar-serve -cache-dir d` warm-starts from d's recorded runs after
+	// a restart.
+	*cfg.pf.Cache = true
+	_, cache, err := cfg.pf.Build()
 	if err != nil {
 		return err
 	}
-	// The service exists to share one cache across callers, so -cache is
-	// implied: when the flags did not stack one, the server builds its own
-	// over the selected backend — honouring -cache-size, -cache-shards, and
-	// -cache-dir, so `stellar-serve -cache-dir d` warm-starts from d's
-	// recorded runs after a restart.
 	srv, err := server.New(server.Options{
-		Backend:     plat,
 		Cache:       cache,
-		CacheSize:   *cfg.pf.CacheSize,
-		CacheShards: *cfg.pf.CacheShards,
-		CacheDir:    *cfg.pf.CacheDir,
 		Scale:       cfg.scale,
 		Seed:        cfg.seed,
 		Reps:        cfg.reps,

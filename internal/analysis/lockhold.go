@@ -15,8 +15,9 @@ import (
 // forbids:
 //
 //   - channel sends, receives, and selects;
-//   - pool.Queue calls (Do and DoWait park on channels; even Submit takes
-//     the queue's own lock, nesting lock orders across packages);
+//   - pool.Queue calls (a Block-mode Submit parks on a channel, and even a
+//     FailFast one takes the queue's own lock, nesting lock orders across
+//     packages);
 //   - flight.Group calls (a waiter parks on the owner's channel, and the
 //     run cache's owner takes the shard lock: a Do under it deadlocks);
 //   - file and network I/O (os, net, net/http, io, bufio, and the

@@ -4,5 +4,5 @@ package pool
 // Queue mimics the real pool.Queue.
 type Queue struct{}
 
-// Do parks the caller until a worker picks up the job.
-func (q *Queue) Do(f func()) { f() }
+// Submit parks the caller until the job is admitted.
+func (q *Queue) Submit(f func()) { f() }

@@ -36,7 +36,7 @@ func (s *shard) recvHeld() []byte {
 
 func (s *shard) queueHeld(f func()) {
 	s.mu.Lock()
-	s.q.Do(f) // want `pool\.Queue\.Do call while s\.mu is held`
+	s.q.Submit(f) // want `pool\.Queue\.Submit call while s\.mu is held`
 	s.mu.Unlock()
 }
 

@@ -4,6 +4,11 @@
 // pool.Values so parallelism is bounded, cancellable, and deterministic:
 // each item writes only to its own index slot, so results are assembled in
 // input order and a parallel run is bit-identical to a serial one.
+//
+// Queue is the long-lived counterpart for work that arrives over time: a
+// bounded, tenant-fair executor with one admission call, Submit, that
+// either fails fast on saturation or blocks the producer until a slot
+// frees.
 package pool
 
 import (

@@ -7,14 +7,14 @@ import (
 	"sync/atomic"
 )
 
-// ErrQueueFull is returned by Submit and Do when admission fails: either the
-// shared backlog is at capacity or the submitting tenant has exhausted its
-// per-tenant quota. Callers at a serving boundary should translate it into
-// back-pressure (HTTP 429) rather than blocking request handlers on a
-// saturated queue.
+// ErrQueueFull is returned by a FailFast Submit when admission fails:
+// either the shared backlog is at capacity or the submitting tenant has
+// exhausted its per-tenant quota. Callers at a serving boundary should
+// translate it into back-pressure (HTTP 429) rather than blocking request
+// handlers on a saturated queue.
 var ErrQueueFull = errors.New("pool: queue backlog full")
 
-// ErrQueueClosed is returned by Submit, Do, and DoWait after Close. It is
+// ErrQueueClosed is returned by Submit, in either mode, after Close. It is
 // deliberately distinct from both ErrQueueFull and context cancellation:
 // a closed queue means the service is shutting down (HTTP 503), a full one
 // means transient saturation (HTTP 429), and a dead context means this one
@@ -34,16 +34,17 @@ type queueTask struct {
 // Queue is the long-lived counterpart to Map: a bounded executor for jobs
 // that arrive over time rather than as one fixed fan-out. At most `workers`
 // jobs run concurrently and at most `backlog` wait; beyond that Submit
-// fails fast with ErrQueueFull so admission control happens at the edge
-// instead of by unbounded buffering. Each job carries its own context, so
-// cancelling one caller (a disconnected HTTP client) aborts only that job.
+// either fails fast with ErrQueueFull, so admission control happens at the
+// edge instead of by unbounded buffering, or blocks the one producer until
+// a slot frees (see Mode). Each job carries its own context, so cancelling
+// one caller (a disconnected HTTP client) aborts only that job.
 //
-// Admission is tenant-aware: SubmitAs/DoAs/DoWaitAs tag work with a tenant
-// name, queued work is dispatched round-robin across tenants (one noisy
-// tenant cannot starve the others even when it filled the backlog first),
-// and an optional per-tenant quota caps how much of the backlog any single
-// tenant may hold. The untagged entry points use the "" tenant, so a
-// single-tenant queue behaves exactly like the pre-tenant implementation.
+// Admission is tenant-aware: Submit tags work with a tenant name, queued
+// work is dispatched round-robin across tenants (one noisy tenant cannot
+// starve the others even when it filled the backlog first), and an
+// optional per-tenant quota caps how much of the backlog any single tenant
+// may hold. Callers with no tenant use "", so a single-tenant queue is one
+// bucket.
 type Queue struct {
 	backlog int
 	quota   int // per-tenant waiting cap (== backlog when unset: no per-tenant bound)
@@ -63,18 +64,13 @@ type Queue struct {
 }
 
 // NewQueue starts a queue with the given worker count (values below 1 mean
-// one worker) and backlog capacity (values below 0 mean 0: Submit succeeds
-// only when a worker is free to pick the job up promptly). No per-tenant
-// quota is enforced; see NewTenantQueue.
-func NewQueue(workers, backlog int) *Queue {
-	return NewTenantQueue(workers, backlog, 0)
-}
-
-// NewTenantQueue is NewQueue with a per-tenant admission quota: at most
-// `quota` jobs from any one tenant may wait at a time (values below 1, or
-// above backlog, mean no per-tenant bound beyond the shared backlog).
-// Tenants always retain round-robin dispatch fairness either way.
-func NewTenantQueue(workers, backlog, quota int) *Queue {
+// one worker), backlog capacity (values below 0 mean 0: a job is admitted
+// only when a worker is free to pick it up promptly), and per-tenant
+// admission quota: at most `quota` jobs from any one tenant may wait at a
+// time (values below 1, or above backlog, mean no per-tenant bound beyond
+// the shared backlog). Tenants always retain round-robin dispatch fairness
+// either way.
+func NewQueue(workers, backlog, quota int) *Queue {
 	if workers < 1 {
 		workers = 1
 	}
@@ -109,7 +105,7 @@ func (q *Queue) worker() {
 			}
 			// Going idle grows admission capacity (a zero-backlog queue
 			// admits exactly as many jobs as there are parked workers), so
-			// blocked DoWait producers get woken to retry.
+			// blocked producers get woken to retry.
 			q.idle++
 			q.notifySlotLocked()
 			q.cond.Wait()
@@ -192,38 +188,37 @@ func (q *Queue) notifySlotLocked() {
 	q.slotCh = make(chan struct{})
 }
 
-// Submit enqueues fn to run with ctx on a free worker and returns without
-// waiting. It fails fast with ErrQueueFull when admission fails and
-// ErrQueueClosed after Close.
-func (q *Queue) Submit(ctx context.Context, fn func(context.Context)) error {
-	return q.SubmitAs(ctx, "", fn)
-}
+// Mode selects what Submit does when a job does not fit right now.
+type Mode int
 
-// SubmitAs is Submit under a tenant name for quota accounting and fair
-// dispatch.
-func (q *Queue) SubmitAs(ctx context.Context, tenant string, fn func(context.Context)) error {
-	_, err := q.submit(ctx, tenant, fn)
-	return err
-}
+const (
+	// FailFast rejects the job with ErrQueueFull: single-shot request
+	// handlers use it so saturation surfaces as back-pressure (HTTP 429)
+	// instead of parked handlers.
+	FailFast Mode = iota
+	// Block parks the caller until a slot frees (a task is dispatched or a
+	// worker goes idle) or ctx dies. Batch producers use it, so admission
+	// control becomes backpressure on the one batch request rather than
+	// hundreds of individual ErrQueueFull rejections. The per-tenant quota
+	// applies while parked, so one tenant's batch cannot monopolize slots
+	// as they free up.
+	Block
+)
 
-func (q *Queue) submit(ctx context.Context, tenant string, fn func(context.Context)) (chan struct{}, error) {
-	t := queueTask{ctx: ctx, fn: fn, done: make(chan struct{})}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return nil, ErrQueueClosed
-	}
-	if !q.admitLocked(tenant) {
-		return nil, ErrQueueFull
-	}
-	q.pushLocked(tenant, t)
-	return t.done, nil
-}
-
-// submitWait is submit without the fail-fast: when admission fails it
-// blocks until capacity frees up (a task is dispatched or a worker goes
-// idle) or ctx dies. No lock is held while parked.
-func (q *Queue) submitWait(ctx context.Context, tenant string, fn func(context.Context)) (chan struct{}, error) {
+// Submit is the queue's one admission path. It enqueues fn to run with ctx
+// on a free worker under tenant's quota and fair-dispatch turn, and returns
+// a channel that is closed once fn has returned. Synchronous callers wait
+// on it; because fn may reference caller-owned state, a caller whose ctx
+// died must still wait rather than return while fn runs (fn sees the dead
+// context and is expected to unwind immediately).
+//
+// The failure modes stay distinguishable: ErrQueueClosed after Close,
+// ErrQueueFull when a FailFast job does not fit, and ctx.Err() (errors.Is
+// context.Canceled / DeadlineExceeded) when a Block caller's context dies
+// while parked — callers map the first to service-unavailable, the second
+// to back-pressure, and treat the last as their own cancellation. No lock
+// is held while parked.
+func (q *Queue) Submit(ctx context.Context, tenant string, mode Mode, fn func(context.Context)) (<-chan struct{}, error) {
 	t := queueTask{ctx: ctx, fn: fn, done: make(chan struct{})}
 	q.mu.Lock()
 	for {
@@ -236,6 +231,10 @@ func (q *Queue) submitWait(ctx context.Context, tenant string, fn func(context.C
 			q.mu.Unlock()
 			return t.done, nil
 		}
+		if mode == FailFast {
+			q.mu.Unlock()
+			return nil, ErrQueueFull
+		}
 		ch := q.slotCh
 		q.mu.Unlock()
 		select {
@@ -245,53 +244,6 @@ func (q *Queue) submitWait(ctx context.Context, tenant string, fn func(context.C
 		}
 		q.mu.Lock()
 	}
-}
-
-// Do enqueues fn and waits for it to finish — the synchronous entry point
-// request handlers use so a caller occupies exactly one queue slot for the
-// duration of its job. Cancelling ctx aborts the job (fn sees the dead
-// context) but Do still waits for fn to return before it does: the closure
-// may reference caller-owned state, so returning while it runs would race.
-func (q *Queue) Do(ctx context.Context, fn func(context.Context)) error {
-	return q.DoAs(ctx, "", fn)
-}
-
-// DoAs is Do under a tenant name.
-func (q *Queue) DoAs(ctx context.Context, tenant string, fn func(context.Context)) error {
-	done, err := q.submit(ctx, tenant, fn)
-	if err != nil {
-		return err
-	}
-	<-done
-	return nil
-}
-
-// DoWait is Do for batch producers: instead of failing fast on a full
-// backlog it blocks until a slot opens (or ctx dies), then waits for fn to
-// finish. A sweep expanding hundreds of grid cells uses it so admission
-// control becomes backpressure on the one batch request rather than
-// hundreds of individual ErrQueueFull rejections — single-shot request
-// handlers should keep using Do so saturation surfaces as 429.
-//
-// The two failure modes stay distinguishable: a queue already closed
-// returns ErrQueueClosed, a context that dies while waiting returns
-// ctx.Err() (errors.Is context.Canceled / DeadlineExceeded) — callers map
-// the former to service-unavailable and treat the latter as their own
-// cancellation.
-func (q *Queue) DoWait(ctx context.Context, fn func(context.Context)) error {
-	return q.DoWaitAs(ctx, "", fn)
-}
-
-// DoWaitAs is DoWait under a tenant name; the per-tenant quota applies
-// while waiting, so one tenant's parked batch cannot monopolize slots as
-// they free up.
-func (q *Queue) DoWaitAs(ctx context.Context, tenant string, fn func(context.Context)) error {
-	done, err := q.submitWait(ctx, tenant, fn)
-	if err != nil {
-		return err
-	}
-	<-done
-	return nil
 }
 
 // Closed reports whether Close has begun: admission is permanently over
@@ -326,9 +278,6 @@ func (q *Queue) Depths() map[string]int {
 	}
 	return m
 }
-
-// Quota returns the per-tenant waiting cap admission enforces.
-func (q *Queue) Quota() int { return q.quota }
 
 // Running returns the number of jobs currently executing.
 func (q *Queue) Running() int { return int(q.running.Load()) }

@@ -9,10 +9,22 @@ import (
 	"time"
 )
 
+// run submits fn and, once it is admitted, waits for it to finish: the
+// synchronous pattern request handlers use, so a caller occupies exactly
+// one queue slot for the duration of its job.
+func run(q *Queue, ctx context.Context, tenant string, mode Mode, fn func(context.Context)) error {
+	done, err := q.Submit(ctx, tenant, mode, fn)
+	if err != nil {
+		return err
+	}
+	<-done
+	return nil
+}
+
 func TestQueueRunsSubmittedJobs(t *testing.T) {
 	// Backlog covers the full burst: all 32 callers may enqueue before any
-	// worker picks a job up, and Do fails fast rather than blocking.
-	q := NewQueue(4, 32)
+	// worker picks a job up, and FailFast rejects rather than blocking.
+	q := NewQueue(4, 32, 0)
 	defer q.Close()
 	var ran atomic.Int64
 	var wg sync.WaitGroup
@@ -20,7 +32,7 @@ func TestQueueRunsSubmittedJobs(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := q.Do(context.Background(), func(context.Context) { ran.Add(1) }); err != nil {
+			if err := run(q, context.Background(), "", FailFast, func(context.Context) { ran.Add(1) }); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -32,37 +44,37 @@ func TestQueueRunsSubmittedJobs(t *testing.T) {
 }
 
 func TestQueueDoWaitsForCompletion(t *testing.T) {
-	q := NewQueue(1, 4)
+	q := NewQueue(1, 4, 0)
 	defer q.Close()
 	done := false
-	if err := q.Do(context.Background(), func(context.Context) {
+	if err := run(q, context.Background(), "", FailFast, func(context.Context) {
 		time.Sleep(10 * time.Millisecond)
 		done = true
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// No race: Do must not return before the closure finished.
+	// No race: the done channel must not close before the closure finished.
 	if !done {
-		t.Fatal("Do returned before the job completed")
+		t.Fatal("done closed before the job completed")
 	}
 }
 
 func TestQueueBackpressure(t *testing.T) {
-	q := NewQueue(1, 1)
+	q := NewQueue(1, 1, 0)
 	defer q.Close()
 	release := make(chan struct{})
 	started := make(chan struct{})
-	if err := q.Submit(context.Background(), func(context.Context) {
+	if _, err := q.Submit(context.Background(), "", FailFast, func(context.Context) {
 		close(started)
 		<-release
 	}); err != nil {
 		t.Fatal(err)
 	}
 	<-started // worker busy
-	if err := q.Submit(context.Background(), func(context.Context) {}); err != nil {
+	if _, err := q.Submit(context.Background(), "", FailFast, func(context.Context) {}); err != nil {
 		t.Fatalf("backlog slot should accept: %v", err)
 	}
-	if err := q.Submit(context.Background(), func(context.Context) {}); err != ErrQueueFull {
+	if _, err := q.Submit(context.Background(), "", FailFast, func(context.Context) {}); err != ErrQueueFull {
 		t.Fatalf("got %v, want ErrQueueFull", err)
 	}
 	if d := q.Depth(); d != 1 {
@@ -75,7 +87,7 @@ func TestQueueBackpressure(t *testing.T) {
 }
 
 func TestQueuePerJobCancellation(t *testing.T) {
-	q := NewQueue(2, 4)
+	q := NewQueue(2, 4, 0)
 	defer q.Close()
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	defer cancel1()
@@ -96,10 +108,10 @@ func TestQueuePerJobCancellation(t *testing.T) {
 			}
 		}
 	}
-	if err := q.Submit(ctx1, blockUntilDone(saw1)); err != nil {
+	if _, err := q.Submit(ctx1, "", FailFast, blockUntilDone(saw1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Submit(ctx2, blockUntilDone(saw2)); err != nil {
+	if _, err := q.Submit(ctx2, "", FailFast, blockUntilDone(saw2)); err != nil {
 		t.Fatal(err)
 	}
 	<-started
@@ -117,38 +129,38 @@ func TestQueuePerJobCancellation(t *testing.T) {
 	<-saw2
 }
 
-// TestQueueDoWaitBlocksInsteadOfFailing: where Do fails fast on a full
-// backlog, DoWait applies backpressure — it parks until a slot frees and
+// TestQueueDoWaitBlocksInsteadOfFailing: where FailFast rejects on a full
+// backlog, Block applies backpressure — it parks until a slot frees and
 // then runs, which is what lets a sweep push a whole grid through a small
 // queue without per-cell rejections.
 func TestQueueDoWaitBlocksInsteadOfFailing(t *testing.T) {
-	q := NewQueue(1, 1)
+	q := NewQueue(1, 1, 0)
 	defer q.Close()
 	release := make(chan struct{})
 	started := make(chan struct{})
-	if err := q.Submit(context.Background(), func(context.Context) {
+	if _, err := q.Submit(context.Background(), "", FailFast, func(context.Context) {
 		close(started)
 		<-release
 	}); err != nil {
 		t.Fatal(err)
 	}
 	<-started // worker busy; fill the lone backlog slot to saturate
-	if err := q.Submit(context.Background(), func(context.Context) {}); err != nil {
+	if _, err := q.Submit(context.Background(), "", FailFast, func(context.Context) {}); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Do(context.Background(), func(context.Context) {}); err != ErrQueueFull {
-		t.Fatalf("Do = %v, want ErrQueueFull", err)
+	if err := run(q, context.Background(), "", FailFast, func(context.Context) {}); err != ErrQueueFull {
+		t.Fatalf("FailFast = %v, want ErrQueueFull", err)
 	}
 
 	var ran atomic.Int64
 	done := make(chan error, 1)
-	go func() { done <- q.DoWait(context.Background(), func(context.Context) { ran.Add(1) }) }()
+	go func() { done <- run(q, context.Background(), "", Block, func(context.Context) { ran.Add(1) }) }()
 	select {
 	case err := <-done:
-		t.Fatalf("DoWait returned %v while the queue was saturated", err)
+		t.Fatalf("Block returned %v while the queue was saturated", err)
 	case <-time.After(30 * time.Millisecond):
 	}
-	close(release) // worker frees up, the parked DoWait proceeds
+	close(release) // worker frees up, the parked Block submit proceeds
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -160,49 +172,49 @@ func TestQueueDoWaitBlocksInsteadOfFailing(t *testing.T) {
 // TestQueueDoWaitHonoursContext: a caller that gives up while parked on a
 // saturated queue unblocks with its context's error and its job never runs.
 func TestQueueDoWaitHonoursContext(t *testing.T) {
-	q := NewQueue(1, 1)
+	q := NewQueue(1, 1, 0)
 	defer q.Close()
 	release := make(chan struct{})
 	defer close(release)
 	started := make(chan struct{})
-	if err := q.Submit(context.Background(), func(context.Context) {
+	if _, err := q.Submit(context.Background(), "", FailFast, func(context.Context) {
 		close(started)
 		<-release
 	}); err != nil {
 		t.Fatal(err)
 	}
 	<-started // worker busy; fill the lone backlog slot to saturate
-	if err := q.Submit(context.Background(), func(context.Context) {}); err != nil {
+	if _, err := q.Submit(context.Background(), "", FailFast, func(context.Context) {}); err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
 	done := make(chan error, 1)
-	go func() { done <- q.DoWait(ctx, func(context.Context) { ran.Add(1) }) }()
+	go func() { done <- run(q, ctx, "", Block, func(context.Context) { ran.Add(1) }) }()
 	time.Sleep(10 * time.Millisecond) // let it park on the full backlog
 	cancel()
 	if err := <-done; err != context.Canceled {
-		t.Fatalf("DoWait = %v, want context.Canceled", err)
+		t.Fatalf("Block = %v, want context.Canceled", err)
 	}
 	if got := ran.Load(); got != 0 {
-		t.Fatalf("cancelled DoWait still ran its job %d times", got)
+		t.Fatalf("cancelled Block submit still ran its job %d times", got)
 	}
 }
 
 func TestQueueDoWaitAfterCloseRejects(t *testing.T) {
-	q := NewQueue(1, 1)
+	q := NewQueue(1, 1, 0)
 	q.Close()
-	if err := q.DoWait(context.Background(), func(context.Context) {}); err != ErrQueueClosed {
+	if err := run(q, context.Background(), "", Block, func(context.Context) {}); err != ErrQueueClosed {
 		t.Fatalf("got %v, want ErrQueueClosed", err)
 	}
 }
 
 func TestQueueCloseDrainsAndRejects(t *testing.T) {
-	q := NewQueue(2, 8)
+	q := NewQueue(2, 8, 0)
 	var ran atomic.Int64
 	for i := 0; i < 8; i++ {
-		if err := q.Submit(context.Background(), func(context.Context) { ran.Add(1) }); err != nil {
+		if _, err := q.Submit(context.Background(), "", FailFast, func(context.Context) { ran.Add(1) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -210,10 +222,10 @@ func TestQueueCloseDrainsAndRejects(t *testing.T) {
 	if got := ran.Load(); got != 8 {
 		t.Fatalf("Close drained %d jobs, want 8", got)
 	}
-	if err := q.Submit(context.Background(), func(context.Context) {}); err != ErrQueueClosed {
+	if _, err := q.Submit(context.Background(), "", FailFast, func(context.Context) {}); err != ErrQueueClosed {
 		t.Fatalf("got %v, want ErrQueueClosed", err)
 	}
-	if err := q.Do(context.Background(), func(context.Context) {}); err != ErrQueueClosed {
+	if err := run(q, context.Background(), "", FailFast, func(context.Context) {}); err != ErrQueueClosed {
 		t.Fatalf("got %v, want ErrQueueClosed", err)
 	}
 	q.Close() // idempotent
@@ -224,38 +236,38 @@ func TestQueueCloseDrainsAndRejects(t *testing.T) {
 // caller's own dead context as context.Canceled, and a saturated backlog as
 // ErrQueueFull (429) — never conflated.
 func TestDoWaitDistinguishesShutdownFromCancel(t *testing.T) {
-	q := NewQueue(1, 0)
+	q := NewQueue(1, 0, 0)
 	q.Close()
-	err := q.DoWait(context.Background(), func(context.Context) {})
+	err := run(q, context.Background(), "", Block, func(context.Context) {})
 	if !errors.Is(err, ErrQueueClosed) {
-		t.Errorf("DoWait on closed queue = %v, want ErrQueueClosed", err)
+		t.Errorf("Block on closed queue = %v, want ErrQueueClosed", err)
 	}
 	if errors.Is(err, context.Canceled) {
 		t.Error("shutdown error reads as caller cancellation")
 	}
-	if err := q.Do(context.Background(), func(context.Context) {}); !errors.Is(err, ErrQueueClosed) {
-		t.Errorf("Do on closed queue = %v, want ErrQueueClosed", err)
+	if err := run(q, context.Background(), "", FailFast, func(context.Context) {}); !errors.Is(err, ErrQueueClosed) {
+		t.Errorf("FailFast on closed queue = %v, want ErrQueueClosed", err)
 	}
-	if err := q.Submit(context.Background(), func(context.Context) {}); !errors.Is(err, ErrQueueClosed) {
-		t.Errorf("Submit on closed queue = %v, want ErrQueueClosed", err)
+	if _, err := q.Submit(context.Background(), "", FailFast, func(context.Context) {}); !errors.Is(err, ErrQueueClosed) {
+		t.Errorf("async FailFast on closed queue = %v, want ErrQueueClosed", err)
 	}
 
 	// A live queue whose one worker is pinned and whose backlog is full:
-	// DoWait blocks, and cancelling the waiting caller's context must
+	// Block parks, and cancelling the waiting caller's context must
 	// surface as that context's error, not as a queue condition.
-	q2 := NewQueue(1, 0)
+	q2 := NewQueue(1, 0, 0)
 	defer q2.Close()
 	release := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		// Blocking entry point: the send is guaranteed to reach the worker
-		// even with a zero backlog (Do's fail-fast could lose the race
-		// against the worker parking at the channel).
-		q2.DoWait(context.Background(), func(context.Context) { <-release })
+		// Block mode: the job is guaranteed to reach the worker even with
+		// a zero backlog (FailFast could lose the race against the worker
+		// parking).
+		run(q2, context.Background(), "", Block, func(context.Context) { <-release })
 	}()
-	// Wait for the worker to be pinned so the next DoWait genuinely blocks.
+	// Wait for the worker to be pinned so the next Block submit genuinely parks.
 	for q2.Running() == 0 {
 		time.Sleep(time.Millisecond)
 	}
@@ -264,9 +276,9 @@ func TestDoWaitDistinguishesShutdownFromCancel(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		cancel()
 	}()
-	err = q2.DoWait(ctx, func(context.Context) {})
+	err = run(q2, ctx, "", Block, func(context.Context) {})
 	if !errors.Is(err, context.Canceled) {
-		t.Errorf("DoWait with cancelled ctx = %v, want context.Canceled", err)
+		t.Errorf("Block with cancelled ctx = %v, want context.Canceled", err)
 	}
 	if errors.Is(err, ErrQueueClosed) || errors.Is(err, ErrQueueFull) {
 		t.Error("caller cancellation reads as a queue condition")
@@ -282,7 +294,7 @@ func pinWorkers(t *testing.T, q *Queue, n int) (release chan struct{}) {
 	release = make(chan struct{})
 	started := make(chan struct{}, n)
 	for i := 0; i < n; i++ {
-		if err := q.Submit(context.Background(), func(context.Context) {
+		if _, err := q.Submit(context.Background(), "", FailFast, func(context.Context) {
 			started <- struct{}{}
 			<-release
 		}); err != nil {
@@ -298,21 +310,21 @@ func pinWorkers(t *testing.T, q *Queue, n int) (release chan struct{}) {
 // TestQueueTenantQuota: a tenant at its quota gets ErrQueueFull even though
 // the shared backlog has room, and other tenants keep being admitted.
 func TestQueueTenantQuota(t *testing.T) {
-	q := NewTenantQueue(1, 8, 2)
+	q := NewQueue(1, 8, 2)
 	defer q.Close()
 	release := pinWorkers(t, q, 1)
 	defer close(release)
 
 	for i := 0; i < 2; i++ {
-		if err := q.SubmitAs(context.Background(), "alice", func(context.Context) {}); err != nil {
+		if _, err := q.Submit(context.Background(), "alice", FailFast, func(context.Context) {}); err != nil {
 			t.Fatalf("alice submit %d: %v", i, err)
 		}
 	}
-	if err := q.SubmitAs(context.Background(), "alice", func(context.Context) {}); err != ErrQueueFull {
+	if _, err := q.Submit(context.Background(), "alice", FailFast, func(context.Context) {}); err != ErrQueueFull {
 		t.Fatalf("alice beyond quota = %v, want ErrQueueFull", err)
 	}
 	// The backlog still has 6 free slots; another tenant is unaffected.
-	if err := q.SubmitAs(context.Background(), "bob", func(context.Context) {}); err != nil {
+	if _, err := q.Submit(context.Background(), "bob", FailFast, func(context.Context) {}); err != nil {
 		t.Fatalf("bob submit: %v", err)
 	}
 	if d := q.Depth(); d != 3 {
@@ -321,22 +333,19 @@ func TestQueueTenantQuota(t *testing.T) {
 	if got := q.Depths(); got["alice"] != 2 || got["bob"] != 1 {
 		t.Fatalf("Depths = %v, want alice:2 bob:1", got)
 	}
-	if q.Quota() != 2 {
-		t.Fatalf("Quota = %d, want 2", q.Quota())
-	}
 }
 
 // TestQueueTenantFairDispatch: queued work drains round-robin across
 // tenants, so a tenant that filled the backlog first does not starve one
 // that arrived later.
 func TestQueueTenantFairDispatch(t *testing.T) {
-	q := NewTenantQueue(1, 8, 0)
+	q := NewQueue(1, 8, 0)
 	release := pinWorkers(t, q, 1)
 
 	var mu sync.Mutex
 	var order []string
 	enqueue := func(tenant string) {
-		if err := q.SubmitAs(context.Background(), tenant, func(context.Context) {
+		if _, err := q.Submit(context.Background(), tenant, FailFast, func(context.Context) {
 			mu.Lock()
 			order = append(order, tenant)
 			mu.Unlock()
@@ -367,41 +376,41 @@ func TestQueueTenantFairDispatch(t *testing.T) {
 	}
 }
 
-// TestQueueTenantQuotaDefaultsOff: NewQueue applies no per-tenant bound, so
-// one tenant may use the whole backlog — the pre-tenant behavior.
+// TestQueueTenantQuotaDefaultsOff: a zero quota applies no per-tenant
+// bound, so one tenant may use the whole backlog.
 func TestQueueTenantQuotaDefaultsOff(t *testing.T) {
-	q := NewQueue(1, 4)
+	q := NewQueue(1, 4, 0)
 	defer q.Close()
 	release := pinWorkers(t, q, 1)
 	defer close(release)
 	for i := 0; i < 4; i++ {
-		if err := q.SubmitAs(context.Background(), "alice", func(context.Context) {}); err != nil {
+		if _, err := q.Submit(context.Background(), "alice", FailFast, func(context.Context) {}); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
-	if err := q.SubmitAs(context.Background(), "alice", func(context.Context) {}); err != ErrQueueFull {
+	if _, err := q.Submit(context.Background(), "alice", FailFast, func(context.Context) {}); err != ErrQueueFull {
 		t.Fatalf("beyond backlog = %v, want ErrQueueFull", err)
 	}
 }
 
-// TestQueueDoWaitAsHonoursQuota: a parked DoWaitAs proceeds once its tenant
-// drops back under quota, not merely when any backlog slot frees.
+// TestQueueDoWaitAsHonoursQuota: a parked Block submit proceeds once its
+// tenant drops back under quota, not merely when any backlog slot frees.
 func TestQueueDoWaitAsHonoursQuota(t *testing.T) {
-	q := NewTenantQueue(1, 8, 1)
+	q := NewQueue(1, 8, 1)
 	defer q.Close()
 	release := pinWorkers(t, q, 1)
 
 	ran := make(chan string, 8)
-	if err := q.SubmitAs(context.Background(), "alice", func(context.Context) { ran <- "alice-1" }); err != nil {
+	if _, err := q.Submit(context.Background(), "alice", FailFast, func(context.Context) { ran <- "alice-1" }); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() {
-		done <- q.DoWaitAs(context.Background(), "alice", func(context.Context) { ran <- "alice-2" })
+		done <- run(q, context.Background(), "alice", Block, func(context.Context) { ran <- "alice-2" })
 	}()
 	select {
 	case err := <-done:
-		t.Fatalf("DoWaitAs returned %v while alice was at quota", err)
+		t.Fatalf("Block returned %v while alice was at quota", err)
 	case <-time.After(30 * time.Millisecond):
 	}
 	close(release) // alice-1 dispatches; alice drops under quota

@@ -18,6 +18,7 @@ import (
 	"stellar/internal/cluster"
 	"stellar/internal/cluster/peering"
 	"stellar/internal/platform"
+	"stellar/internal/runcache"
 	"stellar/internal/workload"
 )
 
@@ -60,7 +61,7 @@ func startCluster(t *testing.T, n int, opts Options) ([]string, []*Server, *atom
 		if o.Scale == 0 {
 			o.Scale = 0.05
 		}
-		o.Backend = countingBackend{inner: platform.Simulator{}, runs: &sims}
+		o.Cache = runcache.New(countingBackend{inner: platform.Simulator{}, runs: &sims}, 0)
 		o.Peers = peers
 		o.Self = peers[i]
 		s, err := New(o)
@@ -169,10 +170,10 @@ func TestClusterPeerDownFallsBackLocal(t *testing.T) {
 	self := ln.Addr().String()
 	var sims atomic.Int64
 	s, err := New(Options{
-		Scale:   0.05,
-		Backend: countingBackend{inner: platform.Simulator{}, runs: &sims},
-		Peers:   []string{self, deadAddr},
-		Self:    self,
+		Scale: 0.05,
+		Cache: runcache.New(countingBackend{inner: platform.Simulator{}, runs: &sims}, 0),
+		Peers: []string{self, deadAddr},
+		Self:  self,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -374,7 +375,7 @@ func postTenant(t *testing.T, url, tenant, body string) (*http.Response, []byte)
 // 429 with the queue_full code and a Retry-After header.
 func TestQueueFullEnvelope(t *testing.T) {
 	bb := blockingBackend{started: make(chan struct{}, 8), release: make(chan struct{})}
-	s, ts := newTestServer(t, Options{Backend: bb, Workers: 1, Backlog: 1})
+	s, ts := newTestServer(t, Options{Cache: runcache.New(bb, 0), Workers: 1, Backlog: 1})
 
 	var wg sync.WaitGroup
 	evaluate := func(seed int) {
@@ -414,7 +415,7 @@ func TestQueueFullEnvelope(t *testing.T) {
 // depths and the configured quota.
 func TestTenantQuotaAndStats(t *testing.T) {
 	bb := blockingBackend{started: make(chan struct{}, 8), release: make(chan struct{})}
-	s, ts := newTestServer(t, Options{Backend: bb, Workers: 1, Backlog: 8, TenantQuota: 1})
+	s, ts := newTestServer(t, Options{Cache: runcache.New(bb, 0), Workers: 1, Backlog: 8, TenantQuota: 1})
 
 	var wg sync.WaitGroup
 	evaluate := func(tenant string, seed int) {

@@ -87,17 +87,32 @@ func writeUnknownWorkload(w http.ResponseWriter, name string) {
 	writeErrorDetails(w, http.StatusBadRequest, CodeUnknownWorkload, details, "%s", unknownWorkloadText(name))
 }
 
-// queueErrCode mirrors queueErrStatus for the envelope: full is queue_full,
-// closed is shutting_down, and a caller's own cancellation racing admission
-// is cancelled — never conflated (see pool.ErrQueueClosed).
-func queueErrCode(err error) string {
+// errStatus maps an admission or execution error onto its HTTP status;
+// errorBodyFor picks the matching code. The queue's failure modes must not
+// be conflated (see pool.ErrQueueClosed): a full backlog is transient
+// saturation the client should back off from (429), a closed queue means
+// the service is shutting down and a retry against this process is futile
+// (503). An unknown workload is the caller's mistake (400); anything else,
+// a run cancelled under the caller included, is a 500.
+func errStatus(err error) int {
 	switch {
 	case errors.Is(err, pool.ErrQueueFull):
-		return CodeQueueFull
+		return http.StatusTooManyRequests
 	case errors.Is(err, pool.ErrQueueClosed):
-		return CodeShuttingDown
-	case isCtxErr(err):
-		return CodeCancelled
+		return http.StatusServiceUnavailable
+	case errors.Is(err, workload.ErrUnknown):
+		return http.StatusBadRequest
 	}
-	return CodeInternal
+	return http.StatusInternalServerError
+}
+
+// inBandError is the text a streamed response (sweep cell, tune footer)
+// carries for a failed measurement once its 200 header is out. A queue
+// closed mid-stream is a shutdown, not a measurement failure, and the text
+// says so explicitly.
+func inBandError(err error) string {
+	if errors.Is(err, pool.ErrQueueClosed) {
+		return "service shutting down: " + err.Error()
+	}
+	return err.Error()
 }

@@ -8,13 +8,16 @@
 // the in-flight ones, the LRU serves the rest — and results are
 // content-addressed and re-servable for the life of the process.
 //
-// Work is admitted through a bounded job queue (internal/pool.Queue):
-// evaluations run synchronously under the request context, so a client
-// disconnect cancels the in-flight simulation all the way down into the
-// discrete-event loop; figure regenerations run asynchronously as jobs that
-// are polled via GET /v1/jobs/{id} and cancelled via DELETE; batch sweeps
-// expand a parameter grid server-side, fan the cells through the queue, and
-// stream per-cell results back as NDJSON with partial progress on cancel.
+// Work is admitted through a bounded job queue (internal/pool.Queue).
+// Every measurement — an evaluate, a sweep cell, a tune candidate — goes
+// through one function, measure: one queue submit (fail fast for evaluate,
+// block for the batch routes), one core.Engine.Evaluate under the request
+// context, so a client disconnect cancels the in-flight simulation all the
+// way down into the discrete-event loop, and one panic guard. Figure
+// regenerations run asynchronously as jobs that are polled via GET
+// /v1/jobs/{id} and cancelled via DELETE. Sweeps and tune searches open
+// their NDJSON stream through one opener (openStream) and stream per-cell
+// or per-round results, with partial progress on cancel.
 //
 // Endpoints:
 //
@@ -66,24 +69,12 @@ import (
 // Options configures a Server. The zero value serves the live simulator at
 // the default scale with one worker per core.
 type Options struct {
-	// Backend is the measurement substrate (simulator, recorder, replayer).
-	// Nil selects the in-process simulator. The server always interposes a
-	// run cache over it; pass Cache to supply one already built (Backend is
-	// then ignored).
-	Backend platform.Platform
-	// Cache, when non-nil, is the process-wide run cache to serve from.
+	// Cache is the process-wide run cache to serve from, built over the
+	// measurement substrate (simulator, recorder, replayer) with whatever
+	// capacity, shards and persistence directory the caller wants. Nil
+	// means runcache.New(platform.Simulator{}, 0): the live simulator under
+	// a default in-memory cache.
 	Cache *runcache.Cache
-	// CacheSize bounds the cache built over Backend when Cache is nil
-	// (0 = runcache.DefaultCapacity).
-	CacheSize int
-	// CacheShards is the shard count of the cache built over Backend when
-	// Cache is nil (0 = runcache.DefaultShards).
-	CacheShards int
-	// CacheDir, when non-empty, makes the cache built over Backend
-	// write-through persistent: completed runs land there as <key>.json and
-	// a restarted server warm-starts from them instead of re-simulating.
-	// Ignored when Cache is supplied (build the cache with its own Dir).
-	CacheDir string
 
 	Spec  cluster.Spec // zero value = cluster.Default()
 	Scale float64      // workload scale (0 = workload.DefaultScale)
@@ -205,15 +196,7 @@ func New(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	cache := opts.Cache
 	if cache == nil {
-		backend := opts.Backend
-		if backend == nil {
-			backend = platform.Simulator{}
-		}
-		cache = runcache.NewWithOptions(backend, runcache.Options{
-			Capacity: opts.CacheSize,
-			Shards:   opts.CacheShards,
-			Dir:      opts.CacheDir,
-		})
+		cache = runcache.New(platform.Simulator{}, 0)
 	}
 	// The fleet interposes between the engine and the node-local cache:
 	// owned keys run here, the rest forward to their owners. /v1/stats and
@@ -244,7 +227,7 @@ func New(opts Options) (*Server, error) {
 		plat:    plat,
 		fleet:   fleet,
 		eng:     eng,
-		queue:   pool.NewTenantQueue(opts.Workers, opts.Backlog, opts.TenantQuota),
+		queue:   pool.NewQueue(opts.Workers, opts.Backlog, opts.TenantQuota),
 		jobs:    newJobStore(opts.MaxJobs),
 		start:   time.Now(),
 		baseCtx: ctx,
@@ -372,61 +355,27 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	rctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 	job.setCancel(cancel)
-	var (
-		resp   *EvaluateResponse
-		runErr error
-	)
-	// Synchronous: Do returns only after the closure finished, so
-	// resp/runErr are safely published. Admission is tenant-aware: the
-	// header's tenant pays quota and gets fair dispatch.
-	qerr := s.queue.DoAs(rctx, tenantOf(r), func(ctx context.Context) {
-		// Cancelled (DELETE or client disconnect) while still waiting for a
-		// worker: report cancelled without starting the measurement.
-		if err := ctx.Err(); err != nil {
-			runErr = err
-			return
-		}
-		job.start()
-		walls, sum, err := func() (walls []float64, sum stats.Summary, err error) {
-			// A panic below must cost this job, not the process.
-			defer func() {
-				if r := recover(); r != nil {
-					err = fmt.Errorf("evaluate panicked: %v", r)
-				}
-			}()
-			return s.eng.Evaluate(ctx, core.EvalRequest{Workload: req.Workload, Config: cfg, Reps: reps, SeedBase: seed, Faults: &faults})
-		}()
-		if err != nil {
-			runErr = err
-			return
-		}
-		resp = &EvaluateResponse{
-			Workload:     req.Workload,
-			Reps:         reps,
-			Seed:         seed,
-			Scale:        s.opts.Scale,
-			MeanSeconds:  sum.Mean,
-			CI90Seconds:  sum.CI90,
-			WallsSeconds: walls,
-			Platform:     s.plat.Name(),
-		}
-		if !faults.IsZero() {
-			resp.Faults = &faults
-		}
-	})
-	if qerr != nil {
-		job.fail(qerr, nil)
-		writeError(w, queueErrStatus(qerr), queueErrCode(qerr), "%v", qerr)
+	// Fail fast: a saturated queue answers 429 instead of parking the
+	// handler. The job turns running only once a worker picks it up.
+	walls, sum, err := s.measure(rctx, tenantOf(r), pool.FailFast,
+		core.EvalRequest{Workload: req.Workload, Config: cfg, Reps: reps, SeedBase: seed, Faults: &faults}, job.start)
+	if err != nil {
+		job.fail(err, nil)
+		writeErrorBody(w, errStatus(err), *errorBodyFor(err))
 		return
 	}
-	if runErr != nil {
-		job.fail(runErr, nil)
-		status := http.StatusInternalServerError
-		if errors.Is(runErr, workload.ErrUnknown) {
-			status = http.StatusBadRequest
-		}
-		writeErrorBody(w, status, *errorBodyFor(runErr))
-		return
+	resp := EvaluateResponse{
+		Workload:     req.Workload,
+		Reps:         reps,
+		Seed:         seed,
+		Scale:        s.opts.Scale,
+		MeanSeconds:  sum.Mean,
+		CI90Seconds:  sum.CI90,
+		WallsSeconds: walls,
+		Platform:     s.plat.Name(),
+	}
+	if !faults.IsZero() {
+		resp.Faults = &faults
 	}
 	data, err := json.Marshal(resp)
 	if err != nil {
@@ -436,6 +385,47 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 	job.finish(data, nil)
 	writeRaw(w, http.StatusOK, data)
+}
+
+// measure is the serving tier's one admission path for a measurement
+// (step 4 of the paper's loop): evaluate, sweep cells and tune candidates
+// all come through here. It admits req on the job queue under tenant in
+// the given mode, waits for the worker to finish, and returns the
+// evaluation's series and summary. A request cancelled (DELETE or client
+// disconnect) while still waiting for a worker returns its context error
+// without starting the measurement; started, when non-nil, runs on the
+// worker just before the measurement does. A panic in the evaluation costs
+// this measurement, not the process: it is returned as an error.
+//
+// Errors are the queue's admission errors (pool.ErrQueueFull,
+// pool.ErrQueueClosed, or ctx.Err() for a Block caller that gave up while
+// parked) or the evaluation's own.
+func (s *Server) measure(ctx context.Context, tenant string, mode pool.Mode, req core.EvalRequest, started func()) ([]float64, stats.Summary, error) {
+	var (
+		walls  []float64
+		sum    stats.Summary
+		runErr error
+	)
+	done, err := s.queue.Submit(ctx, tenant, mode, func(ctx context.Context) {
+		if runErr = ctx.Err(); runErr != nil {
+			return
+		}
+		if started != nil {
+			started()
+		}
+		defer func() {
+			if r := recover(); r != nil {
+				runErr = fmt.Errorf("evaluation panicked: %v", r)
+			}
+		}()
+		walls, sum, runErr = s.eng.Evaluate(ctx, req)
+	})
+	if err != nil {
+		return nil, stats.Summary{}, err
+	}
+	// The closure writes walls, sum and runErr; done publishes them.
+	<-done
+	return walls, sum, runErr
 }
 
 // ----------------------------------------------------------------------
@@ -505,7 +495,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	jctx, cancel := context.WithCancel(s.baseCtx)
 	job.setCancel(cancel)
 	before := s.cache.Stats()
-	err := s.queue.SubmitAs(jctx, tenantOf(r), func(ctx context.Context) {
+	_, err := s.queue.Submit(jctx, tenantOf(r), pool.FailFast, func(ctx context.Context) {
 		defer cancel()
 		// Cancelled while still queued (DELETE before a worker was free, or
 		// server shutdown): the job must report cancelled promptly and its
@@ -540,7 +530,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		cancel()
 		job.fail(err, nil)
-		writeError(w, queueErrStatus(err), queueErrCode(err), "%v", err)
+		writeErrorBody(w, errStatus(err), *errorBodyFor(err))
 		return
 	}
 	writeJSON(w, http.StatusAccepted, job.view())
@@ -642,6 +632,38 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
+// openStream begins a streamed NDJSON job (sweep or tune) once its
+// request has validated. A closed queue gets its 503 here, before any byte
+// of the stream: once the 200 header is out a shutdown can only be
+// reported in-band (shutdown is 503, never 429 — see pool.ErrQueueClosed).
+// It then registers and starts a job of kind on target with total counted
+// units, derives the job's context from the request (a client disconnect
+// stops it) with its own cancel so DELETE /v1/jobs/{id} works, and sends
+// the NDJSON response header. writeLine encodes one line and flushes it.
+// A nil job means the 503 was written; otherwise the caller defers cancel.
+func (s *Server) openStream(w http.ResponseWriter, r *http.Request, kind, target string, total int) (job *Job, ctx context.Context, cancel context.CancelFunc, writeLine func(any)) {
+	if s.queue.Closed() {
+		writeError(w, http.StatusServiceUnavailable, CodeShuttingDown, "%v", pool.ErrQueueClosed)
+		return nil, nil, nil, nil
+	}
+	job = s.jobs.create(kind, target)
+	job.setTotal(total)
+	ctx, cancel = context.WithCancel(r.Context())
+	job.setCancel(cancel)
+	job.start()
+
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	enc := json.NewEncoder(w)
+	flusher, _ := w.(http.Flusher)
+	return job, ctx, cancel, func(v any) {
+		enc.Encode(v)
+		if flusher != nil {
+			flusher.Flush()
+		}
+	}
+}
+
 // tenantOf extracts the requester's tenant for quota accounting and fair
 // dispatch. An absent header is the "" tenant — all anonymous traffic
 // shares one bucket, which is exactly the pre-tenant behavior.
@@ -657,20 +679,6 @@ func unknownWorkloadText(name string) string {
 		return fmt.Sprintf("%v %q (closest known family: %q)", workload.ErrUnknown, name, near)
 	}
 	return fmt.Sprintf("%v %q", workload.ErrUnknown, name)
-}
-
-// queueErrStatus maps a queue admission error onto its HTTP status. The
-// three failure modes must not be conflated (see pool.ErrQueueClosed): a
-// full backlog is transient saturation the client should back off from
-// (429), a closed queue means the service is shutting down and a retry
-// against this process is futile (503), and anything else — including the
-// caller's own cancellation racing admission — is reported as 503 rather
-// than blamed on load.
-func queueErrStatus(err error) int {
-	if errors.Is(err, pool.ErrQueueFull) {
-		return http.StatusTooManyRequests
-	}
-	return http.StatusServiceUnavailable
 }
 
 // decodeBody parses a JSON request body (1 MiB bound, unknown fields

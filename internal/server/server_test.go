@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -140,7 +141,7 @@ func (b *blockingPlatform) Run(ctx context.Context, spec platform.RunSpec) (*pla
 // into the running Platform.Run.
 func TestClientDisconnectCancelsRun(t *testing.T) {
 	bp := &blockingPlatform{started: make(chan struct{}, 1), saw: make(chan error, 1)}
-	_, ts := newTestServer(t, Options{Backend: bp})
+	_, ts := newTestServer(t, Options{Cache: runcache.New(bp, 0)})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/evaluate",
@@ -232,7 +233,7 @@ func TestFigureJobLifecycle(t *testing.T) {
 // job lands in cancelled, not failed.
 func TestFigureJobCancel(t *testing.T) {
 	bp := &blockingPlatform{started: make(chan struct{}, 1), saw: make(chan error, 8)}
-	_, ts := newTestServer(t, Options{Backend: bp})
+	_, ts := newTestServer(t, Options{Cache: runcache.New(bp, 0)})
 
 	resp, data := post(t, ts.URL+"/v1/figures/fig8", "")
 	if resp.StatusCode != http.StatusAccepted {
@@ -338,7 +339,7 @@ func TestEvaluateValidation(t *testing.T) {
 // jobs API, not only by client disconnect.
 func TestEvaluateJobCancelViaDelete(t *testing.T) {
 	bp := &blockingPlatform{started: make(chan struct{}, 1), saw: make(chan error, 1)}
-	_, ts := newTestServer(t, Options{Backend: bp})
+	_, ts := newTestServer(t, Options{Cache: runcache.New(bp, 0)})
 
 	errc := make(chan error, 1)
 	go func() {
@@ -402,7 +403,7 @@ func TestEvaluateJobCancelViaDelete(t *testing.T) {
 // unbounded buffering.
 func TestQueueBackpressureHTTP(t *testing.T) {
 	bp := &blockingPlatform{started: make(chan struct{}, 4), saw: make(chan error, 4)}
-	_, ts := newTestServer(t, Options{Backend: bp, Workers: 1, Backlog: -1})
+	_, ts := newTestServer(t, Options{Cache: runcache.New(bp, 0), Workers: 1, Backlog: -1})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -631,7 +632,7 @@ func TestSweepBaseOverlay(t *testing.T) {
 // stops dispatch; the footer reports cancelled with fewer cells done.
 func TestSweepCancelStreamsPartialProgress(t *testing.T) {
 	bp := &blockingPlatform{started: make(chan struct{}, 8), saw: make(chan error, 8)}
-	_, ts := newTestServer(t, Options{Backend: bp, Workers: 1, Backlog: 8})
+	_, ts := newTestServer(t, Options{Cache: runcache.New(bp, 0), Workers: 1, Backlog: 8})
 
 	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json",
 		strings.NewReader(`{"workload":"IOR_16M","reps":1,
@@ -713,7 +714,7 @@ func TestWarmStartAcrossRestart(t *testing.T) {
 	}
 
 	run := func() ([][]byte, runcache.Stats) {
-		s, err := New(Options{Scale: 0.05, CacheDir: dir})
+		s, err := New(Options{Scale: 0.05, Cache: runcache.NewWithOptions(platform.Simulator{}, runcache.Options{Dir: dir})})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -762,7 +763,7 @@ func TestFaultedEvaluateDeterminismAcrossRestart(t *testing.T) {
 	clean := `{"workload":"IOR_16M","reps":2,"seed":42}`
 
 	run := func() (faultedBody, cleanBody []byte, st runcache.Stats) {
-		s, err := New(Options{Scale: 0.05, CacheDir: dir})
+		s, err := New(Options{Scale: 0.05, Cache: runcache.NewWithOptions(platform.Simulator{}, runcache.Options{Dir: dir})})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -851,7 +852,7 @@ func (g *gatedPlatform) runsFor(name string) int {
 // the job's experiment must never execute a single backend run.
 func TestFigureJobCancelWhileQueued(t *testing.T) {
 	gp := &gatedPlatform{started: make(chan struct{}, 1), release: make(chan struct{})}
-	_, ts := newTestServer(t, Options{Backend: gp, Workers: 1, Backlog: 8, Reps: 1})
+	_, ts := newTestServer(t, Options{Cache: runcache.New(gp, 0), Workers: 1, Backlog: 8, Reps: 1})
 
 	// Job A (fig8, MDWorkbench_8K) occupies the only worker.
 	resp, data := post(t, ts.URL+"/v1/figures/fig8", "")
@@ -1141,7 +1142,7 @@ func TestTuneValidation(t *testing.T) {
 // search and the retained job reports cancelled.
 func TestTuneCancelMidSearch(t *testing.T) {
 	bp := &blockingPlatform{started: make(chan struct{}, 8), saw: make(chan error, 8)}
-	_, ts := newTestServer(t, Options{Backend: bp, Workers: 1, Backlog: 8})
+	_, ts := newTestServer(t, Options{Cache: runcache.New(bp, 0), Workers: 1, Backlog: 8})
 
 	resp, err := http.Post(ts.URL+"/v1/tune", "application/json",
 		strings.NewReader(`{"workload":"IOR_16M","candidates":4,"max_reps":2}`))
@@ -1218,5 +1219,80 @@ func TestShutdownMapsTo503(t *testing.T) {
 	resp, data = post(t, ts.URL+"/v1/tune", `{"workload":"IOR_16M"}`)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("tune after shutdown: HTTP %d (%s), want 503", resp.StatusCode, data)
+	}
+	resp, data = post(t, ts.URL+"/v1/sweeps", `{"workload":"IOR_16M","reps":1,"grid":{"osc.max_pages_per_rpc":[256,512]}}`)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("sweep after shutdown: HTTP %d (%s), want 503", resp.StatusCode, data)
+	}
+	var env errorEnvelope
+	if err := json.Unmarshal(data, &env); err != nil || env.Error.Code != CodeShuttingDown {
+		t.Errorf("sweep after shutdown: body %s, want code %q", data, CodeShuttingDown)
+	}
+}
+
+// panickingPlatform panics on every run while armed and simulates
+// normally once disarmed.
+type panickingPlatform struct{ armed atomic.Bool }
+
+func (p *panickingPlatform) Name() string { return "panicking" }
+
+func (p *panickingPlatform) Run(ctx context.Context, spec platform.RunSpec) (*platform.RunResult, error) {
+	if p.armed.Load() {
+		panic("backend exploded")
+	}
+	return platform.Simulator{}.Run(ctx, spec)
+}
+
+// TestMeasurementPanicContract: a panicking evaluation costs its own
+// measurement on every admission path — evaluate answers 500 internal, a
+// sweep streams the cell as failed, a tune footer carries the error — and
+// strands nothing: with one worker, the same evaluate afterwards answers
+// promptly, so neither the worker nor the run's flight key was lost.
+func TestMeasurementPanicContract(t *testing.T) {
+	pp := &panickingPlatform{}
+	pp.armed.Store(true)
+	_, ts := newTestServer(t, Options{Cache: runcache.New(pp, 0), Workers: 1, Backlog: 8})
+	const evalBody = `{"workload":"IOR_16M","reps":1,"seed":3}`
+
+	resp, data := post(t, ts.URL+"/v1/evaluate", evalBody)
+	var env errorEnvelope
+	if err := json.Unmarshal(data, &env); err != nil {
+		t.Fatalf("evaluate body: %v: %s", err, data)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || env.Error.Code != CodeInternal {
+		t.Fatalf("evaluate: HTTP %d code %q, want 500 %q", resp.StatusCode, env.Error.Code, CodeInternal)
+	}
+	if !strings.Contains(env.Error.Message, "evaluation panicked") {
+		t.Errorf("evaluate message = %q, want the panic reported", env.Error.Message)
+	}
+
+	_, cells, footer := sweepLines(t, ts.URL, `{"workload":"IOR_16M","reps":1,"seed":3,"grid":{"osc.max_pages_per_rpc":[512]}}`)
+	if footer.Failed != 1 || footer.Done != 0 || footer.Cancelled {
+		t.Errorf("sweep footer = %+v, want failed:1 done:0", footer)
+	}
+	if len(cells) != 1 || !strings.Contains(cells[0].Error, "evaluation panicked") {
+		t.Errorf("sweep cells = %+v, want one cell failed with the panic", cells)
+	}
+
+	_, _, tf := tuneLines(t, ts.URL, `{"workload":"IOR_16M","candidates":2,"max_reps":1,"seed":3}`)
+	if !strings.Contains(tf.Error, "evaluation panicked") || tf.Cancelled {
+		t.Errorf("tune footer error = %q (cancelled %v), want the panic reported", tf.Error, tf.Cancelled)
+	}
+
+	pp.armed.Store(false)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/evaluate", strings.NewReader(evalBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	later, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("evaluate after the panics: %v (worker or flight key stranded?)", err)
+	}
+	data, _ = io.ReadAll(later.Body)
+	later.Body.Close()
+	if later.StatusCode != http.StatusOK {
+		t.Fatalf("evaluate after the panics: HTTP %d: %s", later.StatusCode, data)
 	}
 }

@@ -1,10 +1,7 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
 	"sort"
 	"sync"
@@ -14,7 +11,6 @@ import (
 	"stellar/internal/params"
 	"stellar/internal/pool"
 	"stellar/internal/runcache"
-	"stellar/internal/stats"
 	"stellar/internal/workload"
 )
 
@@ -103,11 +99,12 @@ func expandGrid(base map[string]int64, grid map[string][]int64) []map[string]int
 }
 
 // handleSweep serves POST /v1/sweeps: expand the grid, fan the cells
-// through the job queue (each cell is one queue task sharing the
+// through the job queue (each cell is one measure call sharing the
 // process-wide cache), and stream one NDJSON line per completed cell. The
 // response begins with a header line and ends with a footer line; a client
 // disconnect or DELETE /v1/jobs/{id} stops dispatching new cells, and
-// everything streamed before that is the partial progress.
+// everything streamed before that is the partial progress. A server that is
+// shutting down answers 503 after the body validates.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if !decodeBody(w, r, &req) {
@@ -168,25 +165,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	cells := expandGrid(req.Base, req.Grid)
 	tenant := tenantOf(r)
-	job := s.jobs.create("sweep", req.Workload)
-	job.setTotal(len(cells))
-	// Like evaluate, the sweep descends from the request context (client
-	// disconnect stops the grid) with its own cancel so DELETE works.
-	rctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	job.setCancel(cancel)
-	job.start()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	writeLine := func(v any) {
-		enc.Encode(v)
-		if flusher != nil {
-			flusher.Flush()
-		}
+	job, rctx, cancel, writeLine := s.openStream(w, r, "sweep", req.Workload, len(cells))
+	if job == nil {
+		return
 	}
+	defer cancel()
 	before := s.cache.Stats()
 	t0 := time.Now()
 	writeLine(SweepHeader{
@@ -194,54 +177,36 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		Reps: reps, Seed: seed, Scale: s.opts.Scale,
 	})
 
-	// Each cell is one DoWait queue task: the queue's worker bound is the
-	// sweep's parallelism, and a full backlog blocks dispatch (backpressure
-	// on this one request) instead of failing cells with ErrQueueFull.
-	results := make(chan SweepCell)
+	// Each cell is one Block-mode measurement: the queue's worker bound is
+	// the sweep's parallelism, and a full backlog blocks dispatch
+	// (backpressure on this one request) instead of failing cells with
+	// ErrQueueFull. Each cell's error travels next to its wire form so the
+	// collector can tell cancellations from failures.
+	type result struct {
+		cell SweepCell
+		err  error
+	}
+	results := make(chan result)
 	var wg sync.WaitGroup
 	for i, cfg := range cells {
 		wg.Add(1)
 		go func(i int, wire map[string]int64) {
 			defer wg.Done()
-			cell := SweepCell{Index: i, Config: wire}
 			cfg := params.Config{}
 			for k, v := range wire {
 				cfg[k] = v
 			}
-			qerr := s.queue.DoWaitAs(rctx, tenant, func(ctx context.Context) {
-				// Cancelled while still queued: never run the measurement.
-				if ctx.Err() != nil {
-					cell.Error = ctx.Err().Error()
-					return
-				}
-				walls, sum, err := func() (walls []float64, sum stats.Summary, err error) {
-					defer func() {
-						if r := recover(); r != nil {
-							err = fmt.Errorf("sweep cell panicked: %v", r)
-						}
-					}()
-					return s.eng.Evaluate(ctx, core.EvalRequest{Workload: req.Workload, Config: cfg, Reps: reps, SeedBase: seed})
-				}()
-				if err != nil {
-					cell.Error = err.Error()
-					return
-				}
+			walls, sum, err := s.measure(rctx, tenant, pool.Block,
+				core.EvalRequest{Workload: req.Workload, Config: cfg, Reps: reps, SeedBase: seed}, nil)
+			cell := SweepCell{Index: i, Config: wire}
+			if err != nil {
+				cell.Error = inBandError(err)
+			} else {
 				cell.MeanSeconds = sum.Mean
 				cell.CI90Seconds = sum.CI90
 				cell.WallsSeconds = walls
-			})
-			if qerr != nil {
-				// Shutdown and caller-cancel are distinct conditions (see
-				// pool.ErrQueueClosed): a closed queue marks the cell failed
-				// with an explicit shutdown message, while the sweep's own
-				// cancellation is filtered out by the collector below.
-				if errors.Is(qerr, pool.ErrQueueClosed) {
-					cell.Error = "service shutting down: " + qerr.Error()
-				} else {
-					cell.Error = qerr.Error()
-				}
 			}
-			results <- cell
+			results <- result{cell, err}
 		}(i, cfg)
 	}
 	go func() {
@@ -250,19 +215,19 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	var done, failed int
-	for cell := range results {
-		if cell.Error != "" {
-			if isCtxErrString(cell.Error) {
-				// A cancelled cell is not progress and not a cell failure;
-				// the footer's cancelled flag reports it collectively.
-				continue
-			}
+	for res := range results {
+		switch {
+		case isCtxErr(res.err):
+			// A cancelled cell is not progress and not a cell failure;
+			// the footer's cancelled flag reports it collectively.
+			continue
+		case res.err != nil:
 			failed++
-		} else {
+		default:
 			done++
 		}
 		job.cellDone()
-		writeLine(cell)
+		writeLine(res.cell)
 	}
 
 	delta := s.cache.Stats().Delta(before)
@@ -299,11 +264,4 @@ func (s *Server) checkParam(w http.ResponseWriter, name string) bool {
 		return false
 	}
 	return true
-}
-
-// isCtxErrString matches cell errors that are context cancellations. Cell
-// errors cross a string boundary (they ride in SweepCell JSON), so the
-// check is textual rather than errors.Is.
-func isCtxErrString(msg string) bool {
-	return msg == context.Canceled.Error() || msg == context.DeadlineExceeded.Error()
 }

@@ -3,8 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -88,20 +86,13 @@ type TuneFooter struct {
 
 // handleTune serves POST /v1/tune: validate and resolve the search, then
 // stream one NDJSON line per completed halving round (header first, footer
-// last). Every candidate evaluation is one DoWait task on the job queue,
-// so a search shares workers fairly with everything else the server is
-// doing and saturation backpressures the search instead of failing it. A
-// client disconnect or DELETE /v1/jobs/{id} cancels the search; rounds
-// already streamed are the partial progress.
+// last). Every candidate evaluation is one Block-mode measure call, so a
+// search shares workers fairly with everything else the server is doing
+// and saturation backpressures the search instead of failing it. A client
+// disconnect or DELETE /v1/jobs/{id} cancels the search; rounds already
+// streamed are the partial progress. A server that is shutting down
+// answers 503 after the body validates.
 func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
-	// Shutdown check before any byte of the stream: once the NDJSON header
-	// is out, a closed queue can only be reported in-band, so a search that
-	// arrives after Close gets its 503 here (shutdown is 503, never 429 —
-	// see pool.ErrQueueClosed).
-	if s.queue.Closed() {
-		writeError(w, http.StatusServiceUnavailable, CodeShuttingDown, "%v", pool.ErrQueueClosed)
-		return
-	}
 	var req TuneRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -210,25 +201,11 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	opts = opts.WithDefaults()
 
 	tenant := tenantOf(r)
-	job := s.jobs.create("tune", req.Workload)
-	// Like sweeps, the search descends from the request context (client
-	// disconnect stops it) with its own cancel so DELETE works.
-	rctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	job.setCancel(cancel)
-	job.setTotal(search.RoundsFor(opts))
-	job.start()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	writeLine := func(v any) {
-		enc.Encode(v)
-		if flusher != nil {
-			flusher.Flush()
-		}
+	job, rctx, cancel, writeLine := s.openStream(w, r, "tune", req.Workload, search.RoundsFor(opts))
+	if job == nil {
+		return
 	}
+	defer cancel()
 	before := s.cache.Stats()
 	last := before
 	t0 := time.Now()
@@ -244,34 +221,13 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	}
 	writeLine(hdr)
 
-	// Each candidate evaluation is one blocking queue task; the search's
-	// per-round fan-out parks on DoWait until workers free up, exactly like
-	// sweep cells. Every measurement runs under the request's fault plan
-	// (the zero plan is a healthy cluster).
+	// Each candidate evaluation is one Block-mode measurement: the search's
+	// per-round fan-out parks until workers free up, exactly like sweep
+	// cells. Every measurement runs under the request's fault plan (the
+	// zero plan is a healthy cluster).
 	runEval := func(ctx context.Context, wl string, cfg params.Config, reps int, seedBase int64, plan lustre.FaultPlan) ([]float64, stats.Summary, error) {
-		var (
-			walls  []float64
-			sum    stats.Summary
-			runErr error
-		)
-		qerr := s.queue.DoWaitAs(ctx, tenant, func(ctx context.Context) {
-			if err := ctx.Err(); err != nil {
-				runErr = err
-				return
-			}
-			walls, sum, runErr = func() (walls []float64, sum stats.Summary, err error) {
-				defer func() {
-					if r := recover(); r != nil {
-						err = fmt.Errorf("tune evaluation panicked: %v", r)
-					}
-				}()
-				return s.eng.Evaluate(ctx, core.EvalRequest{Workload: wl, Config: cfg, Reps: reps, SeedBase: seedBase, Faults: &plan})
-			}()
-		})
-		if qerr != nil {
-			return nil, stats.Summary{}, qerr
-		}
-		return walls, sum, runErr
+		return s.measure(ctx, tenant, pool.Block,
+			core.EvalRequest{Workload: wl, Config: cfg, Reps: reps, SeedBase: seedBase, Faults: &plan}, nil)
 	}
 	eval := func(ctx context.Context, wl string, cfg params.Config, reps int, seedBase int64) ([]float64, stats.Summary, error) {
 		return runEval(ctx, wl, cfg, reps, seedBase, faults)
@@ -301,13 +257,7 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		Cache:     delta,
 	}
 	if runErr != nil && !footer.Cancelled {
-		// A queue closed mid-search is a shutdown, not a search failure; the
-		// footer says so explicitly since the 200 header is already out.
-		if errors.Is(runErr, pool.ErrQueueClosed) {
-			footer.Error = "service shutting down: " + runErr.Error()
-		} else {
-			footer.Error = runErr.Error()
-		}
+		footer.Error = inBandError(runErr)
 	}
 	if res != nil {
 		footer.Winner = res.Winner
