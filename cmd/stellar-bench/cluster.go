@@ -14,32 +14,33 @@ import (
 	"syscall"
 	"time"
 
+	"stellar/internal/cli"
+	"stellar/internal/cluster/peering"
 	"stellar/internal/experiments"
-	"stellar/internal/platform"
-	"stellar/internal/pool"
 	"stellar/internal/runcache"
 	"stellar/internal/server"
 )
 
-// This file is the multi-process cluster bench: -cluster-requests spawns
-// N real stellar-serve processes (re-execing this binary with -serve-node),
-// peers them over a shared -cache-dir cold tier, and measures the fleet the
-// way an operator would deploy it — duplicate requests fanned across every
-// node, then a node restart against the shared directory. Two records land
-// in -json: pass 1 (cold fleet) and pass 2 (after restarting node 0), each
-// carrying aggregate cache and peering counters summed over every node's
-// /v1/stats.
+// This file is the multi-process cluster scenario: -cluster-requests
+// spawns N real serve processes (re-execing this binary with -serve-node),
+// peers them over a shared -cache-dir cold tier, and measures the fleet
+// the way an operator would deploy it — duplicate requests fanned across
+// every node, then a node restart against the shared directory. Two
+// records land in -json: pass 1 (cold fleet) and pass 2 (after restarting
+// node 0), each carrying cache and peering counters summed over every
+// node's /v1/stats.
 
-// runServeNode is the child side of the cluster bench: one real serving
-// process on a fixed address, peered with the rest of the fleet, persisting
-// to the shared cache directory. It runs until SIGTERM (the parent's stop
-// signal) and then shuts down gracefully so in-flight forwards complete.
-func runServeNode(ctx context.Context, addr, peersCSV, cacheDir string, scale float64, reps int, seed int64) error {
+// serveClusterNode is the child side of the cluster scenario: one real
+// serving process on addr, peered with the fleet and persisting to the
+// -cache-dir the flags built cache over. It runs stellar-serve's serve
+// loop until SIGTERM (the parent's stop signal), so in-flight forwards
+// complete.
+func serveClusterNode(ctx context.Context, cfg experiments.Config, cache *runcache.Cache, addr, peers string) error {
 	srv, err := server.New(server.Options{
-		Scale: scale, Seed: seed, Reps: reps,
+		Cache: cache,
+		Scale: cfg.Scale, Seed: cfg.Seed, Reps: cfg.Reps,
 		Workers: 4, Backlog: 64,
-		Cache: runcache.NewWithOptions(platform.Simulator{}, runcache.Options{Dir: cacheDir}),
-		Peers: splitList(peersCSV), Self: addr,
+		Peers: cli.SplitList(peers), Self: addr,
 	})
 	if err != nil {
 		return err
@@ -49,30 +50,7 @@ func runServeNode(ctx context.Context, addr, peersCSV, cacheDir string, scale fl
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{
-		Handler:     srv.Handler(),
-		BaseContext: func(net.Listener) context.Context { return ctx },
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return hs.Shutdown(sctx)
-}
-
-func splitList(csv string) []string {
-	var out []string
-	for _, p := range strings.Split(csv, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
+	return srv.Serve(ctx, ln)
 }
 
 // nodeProc is one spawned serve process in the bench fleet.
@@ -91,25 +69,25 @@ func (p *nodeProc) stop() {
 	p.cmd.Wait()
 }
 
-// clusterPass measures the distributed serving tier end to end. It returns
-// two records: the cold fleet (every simulation runs exactly once
-// cluster-wide, duplicates forwarded or coalesced) and the restarted fleet
-// (node 0 replaced, warm-starting from the shared cache directory with zero
-// new misses). Any contract violation — non-identical response bodies,
+// clusterPass measures the distributed serving tier end to end in two
+// passes: the cold fleet (every simulation runs exactly once cluster-wide,
+// duplicates forwarded or coalesced) and the restarted fleet (node 0
+// replaced, warm-starting from the shared cache directory with zero new
+// misses). Any contract violation — non-identical response bodies,
 // unexpected miss counts — is an error, so the CI smoke inherits the
-// assertions by just running the pass.
-func clusterPass(ctx context.Context, cfg experiments.Config, n, nodes int) ([]benchRecord, error) {
-	cfg = cfg.Defaults()
+// assertions by just running the scenario.
+func (b *bench) clusterPass(ctx context.Context, n int) error {
+	nodes := b.nodes
 	if nodes < 2 {
 		nodes = 3
 	}
 	exe, err := os.Executable()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	cacheDir, err := os.MkdirTemp("", "stellar-cluster-cache-")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer os.RemoveAll(cacheDir)
 
@@ -120,21 +98,21 @@ func clusterPass(ctx context.Context, cfg experiments.Config, n, nodes int) ([]b
 	for i := range addrs {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		addrs[i] = ln.Addr().String()
 		ln.Close()
 	}
-	peersCSV := strings.Join(addrs, ",")
+	peers := strings.Join(addrs, ",")
 
 	spawn := func(i int) (*nodeProc, error) {
 		cmd := exec.Command(exe,
 			"-serve-node", addrs[i],
-			"-node-peers", peersCSV,
-			"-node-cache-dir", cacheDir,
-			"-scale", fmt.Sprint(cfg.Scale),
-			"-reps", fmt.Sprint(cfg.Reps),
-			"-seed", fmt.Sprint(cfg.Seed),
+			"-node-peers", peers,
+			"-cache-dir", cacheDir,
+			"-scale", fmt.Sprint(b.cfg.Scale),
+			"-reps", fmt.Sprint(b.cfg.Reps),
+			"-seed", fmt.Sprint(b.cfg.Seed),
 		)
 		// Children log to stderr so the bench's stdout stays the record of
 		// the measurement.
@@ -159,134 +137,110 @@ func clusterPass(ctx context.Context, cfg experiments.Config, n, nodes int) ([]b
 	}()
 	for i := range procs {
 		if procs[i], err = spawn(i); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
-	body := fmt.Sprintf(`{"workload":"IOR_16M","reps":%d,"seed":%d}`, cfg.Reps, cfg.Seed)
-	fire := func() (float64, []byte, error) {
-		bodies := make([][]byte, n)
-		t0 := time.Now()
-		err := pool.Map(ctx, cfg.Parallel, n, func(ctx context.Context, i int) error {
-			url := "http://" + addrs[i%nodes] + "/v1/evaluate"
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, strings.NewReader(body))
-			if err != nil {
-				return err
+	body := evaluateBody(b.cfg)
+	url := func(i int) string { return "http://" + addrs[i%nodes] + "/v1/evaluate" }
+	var coldBody []byte
+	for pass := 1; pass <= 2; pass++ {
+		if pass == 2 {
+			// Restart node 0 against the shared cache directory. Its
+			// memory cache is gone but the disk tier is not, so re-firing
+			// the same requests must add zero misses fleet-wide: keys it
+			// owns come back as disk hits, the rest stay memory hits on
+			// the survivors.
+			procs[0].stop()
+			if procs[0], err = spawn(0); err != nil {
+				return fmt.Errorf("restarting node 0: %w", err)
 			}
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				return err
-			}
-			data, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				return err
-			}
-			if resp.StatusCode != http.StatusOK {
-				return fmt.Errorf("request %d to %s: HTTP %d: %s", i, addrs[i%nodes], resp.StatusCode, data)
-			}
-			bodies[i] = data
-			return nil
-		})
+		}
+		before, err := sumStats(addrs)
 		if err != nil {
-			return 0, nil, err
+			return err
 		}
-		elapsed := time.Since(t0).Seconds()
-		for i := 1; i < n; i++ {
-			if !bytes.Equal(bodies[0], bodies[i]) {
-				return 0, nil, fmt.Errorf("response %d differs across the fleet:\n%s\nvs\n%s", i, bodies[i], bodies[0])
+		m := startMeter(nil)
+		got, err := postAll(ctx, b.cfg.Parallel, n, url, body)
+		if err != nil {
+			return fmt.Errorf("pass %d: %w", pass, err)
+		}
+		rec := benchRecord{Experiment: "cluster", Pass: pass, Requests: n, Nodes: nodes}
+		m.stop(&rec, n)
+		after, err := sumStats(addrs)
+		if err != nil {
+			return err
+		}
+		d := after.delta(before)
+		rec.Platform, rec.Cache = d.platform, &d.cache
+		rec.Forwards, rec.ForwardErrs = d.cluster.Forwards, d.cluster.ForwardErrs
+		rec.CoalescedRemote, rec.ServedForwards = d.cluster.CoalescedRemote, d.cluster.ServedForwards
+
+		if pass == 1 {
+			// Exactly cfg.Reps distinct RunSpecs exist, so the whole fleet
+			// must miss exactly that often no matter how many nodes the
+			// duplicates landed on.
+			if d.cache.Misses != uint64(b.cfg.Reps) {
+				return fmt.Errorf("cold fleet missed %d times, want exactly %d (one per rep cluster-wide)", d.cache.Misses, b.cfg.Reps)
+			}
+			if d.cluster.Forwards == 0 {
+				return fmt.Errorf("no forwards recorded across %d nodes — peering inactive", nodes)
+			}
+			coldBody = got
+		} else {
+			if d.cache.Misses != 0 {
+				return fmt.Errorf("restarted fleet re-simulated %d runs, want 0 (shared cache dir must warm-start)", d.cache.Misses)
+			}
+			if !bytes.Equal(coldBody, got) {
+				return fmt.Errorf("restart changed the response body:\n%s\nvs\n%s", got, coldBody)
 			}
 		}
-		return elapsed, bodies[0], nil
+		b.emit(rec)
 	}
-
-	record := func(pass int, elapsed float64, delta fleetStats) benchRecord {
-		cache := delta.cache
-		return benchRecord{
-			Experiment: "cluster", Pass: pass, Seconds: elapsed,
-			Platform: delta.platform, Cache: &cache,
-			Requests: n, RPS: float64(n) / elapsed,
-			Nodes:           nodes,
-			Forwards:        delta.forwards,
-			ForwardErrs:     delta.forwardErrs,
-			CoalescedRemote: delta.coalesced,
-			ServedForwards:  delta.served,
-		}
-	}
-
-	// Pass 1: cold fleet. Exactly cfg.Reps distinct RunSpecs exist, so the
-	// whole fleet must miss exactly cfg.Reps times no matter how many nodes
-	// the duplicates landed on.
-	before, err := sumStats(addrs)
-	if err != nil {
-		return nil, err
-	}
-	elapsed, coldBody, err := fire()
-	if err != nil {
-		return nil, err
-	}
-	after, err := sumStats(addrs)
-	if err != nil {
-		return nil, err
-	}
-	cold := after.delta(before)
-	if got, want := cold.cache.Misses, uint64(cfg.Reps); got != want {
-		return nil, fmt.Errorf("cold fleet missed %d times, want exactly %d (one per rep cluster-wide)", got, want)
-	}
-	if cold.forwards == 0 {
-		return nil, fmt.Errorf("no forwards recorded across %d nodes — peering inactive", nodes)
-	}
-	recs := []benchRecord{record(1, elapsed, cold)}
-
-	// Pass 2: restart node 0 against the shared cache directory. Its memory
-	// cache is gone but the disk tier is not, so re-firing the same
-	// requests must add zero misses fleet-wide: keys it owns come back as
-	// disk hits, the rest stay memory hits on the survivors.
-	procs[0].stop()
-	if procs[0], err = spawn(0); err != nil {
-		return nil, fmt.Errorf("restarting node 0: %w", err)
-	}
-	before, err = sumStats(addrs)
-	if err != nil {
-		return nil, err
-	}
-	elapsed, warmBody, err := fire()
-	if err != nil {
-		return nil, fmt.Errorf("after node 0 restart: %w", err)
-	}
-	after, err = sumStats(addrs)
-	if err != nil {
-		return nil, err
-	}
-	warm := after.delta(before)
-	if warm.cache.Misses != 0 {
-		return nil, fmt.Errorf("restarted fleet re-simulated %d runs, want 0 (shared cache dir must warm-start)", warm.cache.Misses)
-	}
-	if !bytes.Equal(coldBody, warmBody) {
-		return nil, fmt.Errorf("restart changed the response body:\n%s\nvs\n%s", warmBody, coldBody)
-	}
-	return append(recs, record(2, elapsed, warm)), nil
+	return nil
 }
 
 // fleetStats is every node's /v1/stats summed: the cluster-wide view the
 // single-process passes get for free from their one shared cache.
 type fleetStats struct {
-	platform    string
-	cache       runcache.Stats
-	forwards    uint64
-	forwardErrs uint64
-	coalesced   uint64
-	served      uint64
+	platform string
+	cache    runcache.Stats
+	cluster  peering.Stats
 }
 
+// add folds one node's stats into the fleet total. Every runcache and
+// peering counter sums, and so do the size gauges; the fleet persists if
+// any node does.
+func (s *fleetStats) add(st server.StatsResponse) {
+	s.platform = st.Platform
+	c := &s.cache
+	c.Hits += st.Cache.Hits
+	c.Misses += st.Cache.Misses
+	c.Coalesced += st.Cache.Coalesced
+	c.Bypassed += st.Cache.Bypassed
+	c.Evictions += st.Cache.Evictions
+	c.DiskHits += st.Cache.DiskHits
+	c.DiskErrs += st.Cache.DiskErrs
+	c.Entries += st.Cache.Entries
+	c.Capacity += st.Cache.Capacity
+	c.Shards += st.Cache.Shards
+	c.Persisted = c.Persisted || st.Cache.Persisted
+	if p := st.Cluster; p != nil {
+		s.cluster.Local += p.Local
+		s.cluster.Forwards += p.Forwards
+		s.cluster.ForwardErrs += p.ForwardErrs
+		s.cluster.CoalescedRemote += p.CoalescedRemote
+		s.cluster.ServedForwards += p.ServedForwards
+	}
+}
+
+// delta is the fleet's activity since before, clamped the way each node's
+// own Stats.Delta clamps it.
 func (s fleetStats) delta(before fleetStats) fleetStats {
 	return fleetStats{
-		platform:    s.platform,
-		cache:       s.cache.Delta(before.cache),
-		forwards:    s.forwards - before.forwards,
-		forwardErrs: s.forwardErrs - before.forwardErrs,
-		coalesced:   s.coalesced - before.coalesced,
-		served:      s.served - before.served,
+		platform: s.platform,
+		cache:    s.cache.Delta(before.cache),
+		cluster:  s.cluster.Delta(before.cluster),
 	}
 }
 
@@ -303,22 +257,7 @@ func sumStats(addrs []string) (fleetStats, error) {
 		if err != nil {
 			return fleetStats{}, err
 		}
-		sum.platform = st.Platform
-		sum.cache.Hits += st.Cache.Hits
-		sum.cache.Misses += st.Cache.Misses
-		sum.cache.Coalesced += st.Cache.Coalesced
-		sum.cache.DiskHits += st.Cache.DiskHits
-		sum.cache.DiskErrs += st.Cache.DiskErrs
-		sum.cache.Entries += st.Cache.Entries
-		sum.cache.Capacity += st.Cache.Capacity
-		sum.cache.Shards += st.Cache.Shards
-		sum.cache.Persisted = st.Cache.Persisted
-		if st.Cluster != nil {
-			sum.forwards += st.Cluster.Forwards
-			sum.forwardErrs += st.Cluster.ForwardErrs
-			sum.coalesced += st.Cluster.CoalescedRemote
-			sum.served += st.Cluster.ServedForwards
-		}
+		sum.add(st)
 	}
 	return sum, nil
 }

@@ -1,10 +1,14 @@
 // Command stellar-bench regenerates the paper's tables and figures on the
-// simulated platform.
+// simulated platform, and runs the serving tier's CI smokes, counter
+// contracts and committed-baseline gates (BENCH_serve.json, BENCH_sim.json,
+// BENCH_cluster.json). Latency distributions and per-layer timing belong
+// to the perfbench module; stellar-bench records one wall-clock figure per
+// pass, which is all those gates compare.
 //
 // Usage:
 //
-//	stellar-bench                  # run everything (Figures 2, 5-10, cost, iteration cost)
-//	stellar-bench -fig fig5        # one experiment (fig2 fig5 fig6 fig7 fig8 fig9 cost iters fig10)
+//	stellar-bench                  # every experiment (-h lists the ids)
+//	stellar-bench -fig fig5        # one experiment
 //	stellar-bench -reps 3          # fewer repetitions for a quick pass
 //	stellar-bench -parallel 8      # fan independent arms/reps over 8 workers
 //	stellar-bench -cache -cache-stats
@@ -13,43 +17,35 @@
 //	                               # machine-readable wall-clock + cache stats per pass
 //	stellar-bench -platform record # serialize the full run set to -record-dir
 //	stellar-bench -platform replay # regenerate tables from recorded runs, no simulation
-//	stellar-bench -serve-requests 64 -json BENCH_serve.json
-//	                               # stellar-serve throughput: fire identical HTTP
-//	                               # evaluate requests at an in-process server
-//	                               # (combine with -fig to also run experiments)
-//	stellar-bench -sweep-requests 16 -cache-dir cachedir -json BENCH_sweep.json
-//	                               # batch sweep API: one POST /v1/sweeps with a
-//	                               # 16-cell grid, NDJSON streamed back; records
-//	                               # shard + persistence cache effectiveness
-//	stellar-bench -tune-requests 8 -cache-dir cachedir -json BENCH_tune.json
-//	                               # adaptive tuning search: one POST /v1/tune
-//	                               # over an 8-candidate pool, NDJSON rounds
-//	                               # consumed; records the winner, the budget
-//	                               # spent, and the cache delta (a second run
-//	                               # over the same -cache-dir must report zero
-//	                               # misses and the identical winner)
-//	stellar-bench -cluster-requests 24 -cluster-nodes 3 -json BENCH_cluster.json
-//	                               # distributed serving tier: spawn 3 real
-//	                               # serve processes peered over a shared
-//	                               # cache dir, fan duplicate requests across
-//	                               # all of them (exactly one simulation per
-//	                               # distinct spec cluster-wide), then restart
-//	                               # a node and verify the zero-miss warm
-//	                               # start from the shared directory
-//	stellar-bench -sim-passes 3 -json BENCH_sim.json
-//	                               # raw event-kernel throughput: drive the
-//	                               # deterministic sim.Workout mix with no
-//	                               # model, cache, or HTTP above it and record
-//	                               # events/sec and allocs/event per pass —
-//	                               # plus the same number of uncached eight-rep
-//	                               # core.Evaluate passes recording eval_ms and
-//	                               # allocs_per_eval for the full model layer —
-//	                               # the baselines the CI perf gates compare
-//	                               # fresh runs against
 //
-// Every recorded pass carries the discrete-event counters observed while it
-// ran — events fired, events/sec, allocations per event — so any BENCH_*.json
-// trajectory doubles as a kernel-throughput trend line.
+// A run is one table of scenarios, each selected by one flag and run in
+// this order:
+//
+//	-fig ID (or no flag)    figure regeneration, -repeat passes per experiment
+//	-sim-passes N           N passes of the raw event kernel (the sim.Workout
+//	                        mix, no model above it: events/sec, allocs/event),
+//	                        then N passes of one uncached eight-rep
+//	                        core.Evaluate (eval_ms, allocs_per_eval) — the
+//	                        BENCH_sim.json gates
+//	-serve-requests N       N identical POST /v1/evaluate at an in-process
+//	                        server (the BENCH_serve.json gate)
+//	-sweep-requests N       one POST /v1/sweeps grid of N cells, NDJSON
+//	                        consumed to completion
+//	-tune-requests N        one POST /v1/tune search over N candidates: a
+//	                        second run over the same -cache-dir must report
+//	                        zero misses and the identical winner
+//	-cluster-requests N     -cluster-nodes real serve processes peered over
+//	                        a shared cache dir: N duplicate evaluates fanned
+//	                        across them (one simulation per distinct spec
+//	                        fleet-wide), then a node restart that must
+//	                        warm-start with zero misses (BENCH_cluster.json)
+//
+// One meter stamps every pass with its wall-clock, the discrete events
+// fired, allocations per event and the run cache's delta, and one printer
+// writes its footer; -json collects the records, so any BENCH_*.json
+// trajectory doubles as a kernel-throughput trend line. The served
+// scenarios share one body (start a server, drive it, take the delta) and
+// run the same serve loop as stellar-serve.
 //
 // The -parallel fan-out is deterministic: tables are bit-identical to a
 // serial run with the same seed — and with -cache they stay bit-identical
@@ -58,14 +54,11 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -81,15 +74,13 @@ import (
 	"stellar/internal/llm/simllm"
 	"stellar/internal/params"
 	"stellar/internal/platform"
-	"stellar/internal/pool"
 	"stellar/internal/runcache"
-	"stellar/internal/server"
 	"stellar/internal/sim"
 )
 
 // benchRecord is one machine-readable measurement: the wall-clock cost of
 // one experiment regeneration pass (or one server-throughput pass) plus the
-// run cache's activity during it. -json appends these to a file so
+// run cache's activity during it. -json writes these to a file so
 // BENCH_*.json trajectories can accumulate across commits.
 type benchRecord struct {
 	Experiment string          `json:"experiment"`
@@ -131,47 +122,30 @@ type benchRecord struct {
 	ServedForwards  uint64 `json:"served_forwards,omitempty"`
 }
 
-// simMeter snapshots the process-wide event counter and allocation tally at
-// the start of a pass so the pass record can carry events, events/sec, and
-// allocs/event alongside its wall-clock. Allocations are whole-process
-// (runtime.MemStats.Mallocs), so on serving passes the figure includes HTTP
-// and JSON overhead — on -sim-passes it is the bare kernel.
-type simMeter struct {
-	events uint64
-	allocs uint64
+// scenario is one row of the bench table: its name (the prefix of its
+// errors), the value of the flag that selects it (passes for figures, sim
+// and eval; requests for the served scenarios; 0 skips the row), and the
+// function that runs it, handing each finished record to bench.emit.
+type scenario struct {
+	name string
+	n    int
+	run  func(ctx context.Context, n int) error
 }
 
-func newSimMeter() simMeter {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return simMeter{events: sim.TotalFired(), allocs: ms.Mallocs}
+// bench is one invocation's shared state: the experiment config every
+// scenario runs under, the flags' run cache, and the records so far.
+type bench struct {
+	cfg        experiments.Config // defaulted; Platform is the flags' stack
+	cache      *runcache.Cache    // nil without -cache / -cache-dir
+	nodes      int                // -cluster-nodes
+	cacheStats bool               // -cache-stats
+	out        io.Writer
+	records    []benchRecord
 }
-
-func (m simMeter) record(rec *benchRecord, seconds float64) {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	ev := sim.TotalFired() - m.events
-	if ev == 0 {
-		return
-	}
-	rec.Events = ev
-	rec.AllocsPerEvent = float64(ms.Mallocs-m.allocs) / float64(ev)
-	if seconds > 0 {
-		rec.EventsPerSec = float64(ev) / seconds
-	}
-}
-
-// records accumulates the per-pass measurements; jsonPath is the -json
-// destination. Both are package-level so fatal can flush completed passes
-// even when a later pass fails or is cancelled mid-run.
-var (
-	records  []benchRecord
-	jsonPath string
-)
 
 func main() {
 	var (
-		fig      = flag.String("fig", "", "experiment id to run (empty = all)")
+		fig      = flag.String("fig", "", "experiment id to run (empty = all): "+strings.Join(experiments.IDs(), ", "))
 		reps     = flag.Int("reps", 8, "repetitions for averaged measurements")
 		scale    = flag.Float64("scale", 0, "workload scale (0 = default)")
 		seed     = flag.Int64("seed", 7, "base simulation seed")
@@ -186,25 +160,15 @@ func main() {
 		clusterK = flag.Int("cluster-nodes", 3, "fleet size for -cluster-requests")
 
 		// Internal child-process flags for -cluster-requests: the parent
-		// re-execs this binary once per node with these set.
-		serveNode    = flag.String("serve-node", "", "internal: run as one cluster serve node on this address instead of benching")
-		nodePeers    = flag.String("node-peers", "", "internal: comma-separated fleet membership for -serve-node")
-		nodeCacheDir = flag.String("node-cache-dir", "", "internal: shared persistent cache directory for -serve-node")
+		// re-execs this binary once per node with these and -cache-dir set.
+		serveNode = flag.String("serve-node", "", "internal: run as one cluster serve node on this address instead of benching")
+		nodePeers = flag.String("node-peers", "", "internal: comma-separated fleet membership for -serve-node")
 	)
 	pf := cli.RegisterPlatformFlags()
 	flag.Parse()
-	jsonPath = *jsonOut
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *serveNode != "" {
-		if err := runServeNode(ctx, *serveNode, *nodePeers, *nodeCacheDir, *scale, *reps, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "stellar-bench (serve node):", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	plat, cache, err := pf.Build()
 	if err != nil {
@@ -212,396 +176,246 @@ func main() {
 	}
 	cfg := experiments.Config{
 		Reps: *reps, Scale: *scale, Seed: *seed, Parallel: *parallel, Platform: plat,
-	}
-	if *repeat < 1 {
-		*repeat = 1
-	}
-
-	run := func(id string, pass int) {
-		meter := newSimMeter()
-		t0 := time.Now()
-		var before runcache.Stats
-		if cache != nil {
-			before = cache.Stats()
+	}.Defaults()
+	if *serveNode != "" {
+		if err := serveClusterNode(ctx, cfg, cache, *serveNode, *nodePeers); err != nil {
+			fatal(fmt.Errorf("serve node: %w", err))
 		}
-		out, err := experiments.Run(ctx, id, cfg)
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", id, err))
-		}
-		fmt.Println(out)
-		elapsed := time.Since(t0)
-		rec := benchRecord{
-			Experiment: id, Pass: pass,
-			Seconds: elapsed.Seconds(), Platform: plat.Name(),
-		}
-		meter.record(&rec, elapsed.Seconds())
-		if cache != nil {
-			delta := cache.Stats().Delta(before)
-			rec.Cache = &delta
-			if *pf.CacheStats {
-				fmt.Printf("(%s pass %d cache: %s)\n", id, pass, delta)
-			}
-		}
-		records = append(records, rec)
-		fmt.Printf("(%s pass %d took %v)\n\n", id, pass, elapsed.Round(time.Millisecond))
+		return
 	}
 
-	ids := []string{}
+	b := &bench{cfg: cfg, cache: cache, nodes: *clusterK, cacheStats: *pf.CacheStats, out: os.Stdout}
+	table := []scenario{
+		{"sim", *simN, b.simPasses},
+		{"eval", *simN, b.evalPasses},
+		{"serve", *serveN, b.servePass},
+		{"sweep", *sweepN, b.sweepPass},
+		{"tune", *tuneN, b.tunePass},
+		{"cluster", *clusterN, b.clusterPass},
+	}
+	ids := experiments.IDs()
 	if *fig != "" {
-		ids = append(ids, *fig)
-	} else if *serveN == 0 && *sweepN == 0 && *tuneN == 0 && *simN == 0 && *clusterN == 0 {
-		ids = experiments.IDs()
+		ids = []string{*fig}
+	} else if selected(table) {
+		ids = nil
 	}
+	var figs []scenario
 	for _, id := range ids {
-		for pass := 1; pass <= *repeat; pass++ {
-			run(id, pass)
-		}
+		figs = append(figs, scenario{id, max(*repeat, 1), b.figurePasses(id)})
 	}
 
-	for pass := 1; pass <= *simN; pass++ {
-		rec := simPass(pass)
-		records = append(records, rec)
-		fmt.Printf("(sim pass %d: %d events in %.3fs, %.2fM events/s, %.4f allocs/event)\n",
-			pass, rec.Events, rec.Seconds, rec.EventsPerSec/1e6, rec.AllocsPerEvent)
+	err = b.run(ctx, append(figs, table...))
+	writeJSON(*jsonOut, b.records)
+	if err != nil {
+		fatal(err)
 	}
-	for pass := 1; pass <= *simN; pass++ {
-		rec, err := evalPass(ctx, pass)
-		if err != nil {
-			fatal(fmt.Errorf("eval: %w", err))
-		}
-		records = append(records, rec)
-		fmt.Printf("(eval pass %d: %.1f ms/eval, %.0f allocs/eval, %.2fM events/s)\n",
-			pass, rec.EvalMS, rec.AllocsPerEval, rec.EventsPerSec/1e6)
+	if cache != nil && b.cacheStats {
+		fmt.Fprintf(b.out, "run cache total [%s]: %s\n", plat.Name(), cache.Stats())
 	}
-
-	if *serveN > 0 {
-		rec, err := servePass(ctx, plat, cache, cfg, *serveN)
-		if err != nil {
-			fatal(fmt.Errorf("serve: %w", err))
-		}
-		records = append(records, rec)
-		fmt.Printf("(serve: %d requests in %.3fs, %.1f req/s, cache: %s)\n",
-			rec.Requests, rec.Seconds, rec.RPS, rec.Cache)
-	}
-
-	if *sweepN > 0 {
-		rec, err := sweepPass(ctx, plat, cache, cfg, *sweepN)
-		if err != nil {
-			fatal(fmt.Errorf("sweep: %w", err))
-		}
-		records = append(records, rec)
-		fmt.Printf("(sweep: %d cells in %.3fs, %.1f cells/s, cache: %s)\n",
-			rec.Requests, rec.Seconds, rec.RPS, rec.Cache)
-	}
-
-	if *tuneN > 0 {
-		rec, err := tunePass(ctx, plat, cache, cfg, *tuneN)
-		if err != nil {
-			fatal(fmt.Errorf("tune: %w", err))
-		}
-		records = append(records, rec)
-		fmt.Printf("(tune: %d candidates, %d evaluations over %d rounds in %.3fs, winner %.2fx, cache: %s)\n",
-			rec.Requests, rec.Evaluations, rec.Rounds, rec.Seconds, rec.Speedup, rec.Cache)
-	}
-
-	if *clusterN > 0 {
-		recs, err := clusterPass(ctx, cfg, *clusterN, *clusterK)
-		if err != nil {
-			fatal(fmt.Errorf("cluster: %w", err))
-		}
-		records = append(records, recs...)
-		for _, rec := range recs {
-			fmt.Printf("(cluster pass %d: %d requests over %d nodes in %.3fs, %.1f req/s, forwards %d, coalesced %d, misses %d, disk hits %d)\n",
-				rec.Pass, rec.Requests, rec.Nodes, rec.Seconds, rec.RPS,
-				rec.Forwards, rec.CoalescedRemote, rec.Cache.Misses, rec.Cache.DiskHits)
-		}
-	}
-
-	if cache != nil && *pf.CacheStats {
-		fmt.Printf("run cache total [%s]: %s\n", plat.Name(), cache.Stats())
-	}
-	flushJSON()
 }
 
-// simPass measures the raw event kernel with no lustre model, run cache, or
-// HTTP stack above it: the deterministic sim.Workout mix of timer chains,
-// pipe transfers, resource contention, and same-instant grant wakeups, the
-// same body BenchmarkEngineRun times. Its events_per_sec is the number the CI
-// sim-perf gate compares against the committed BENCH_sim.json baseline, and
-// its allocs_per_event is the cleanest view of the allocation-free hot loop
-// (an unmeasured warm-up round runs first so one-time runtime initialization
-// is not charged to the measured passes).
-func simPass(pass int) benchRecord {
-	const chains, ops, rounds = 64, 256, 16
-	if pass == 1 {
-		sim.Workout(chains, ops)
-		runtime.GC()
-	}
-	meter := newSimMeter()
-	t0 := time.Now()
-	for i := 0; i < rounds; i++ {
-		sim.Workout(chains, ops)
-	}
-	elapsed := time.Since(t0).Seconds()
-	rec := benchRecord{Experiment: "sim", Pass: pass, Seconds: elapsed, Platform: "kernel"}
-	meter.record(&rec, elapsed)
-	return rec
-}
-
-// evalEng is the engine shared by all eval passes, built on first use so
-// later passes measure the model layer with its scratch pools warm — the
-// steady state the figure drivers run in.
-var evalEng *core.Engine
-
-// evalPass measures one uncached eight-rep core.Evaluate of IOR_16M — the
-// paper's measurement protocol with the full model layer under it (workload
-// build, pooled procfs snapshot, lustre simulation, stats) and nothing above
-// it. Per-eval wall-clock (eval_ms) and whole-process allocations
-// (allocs_per_eval, from runtime.MemStats.Mallocs) gate the model layer's
-// allocation-free rewrite in CI the same way events_per_sec gates the
-// kernel. Pass 1 pays an unmeasured warm-up eval plus a GC so pool fills and
-// one-time runtime initialization are not charged to the measured rounds.
-func evalPass(ctx context.Context, pass int) (benchRecord, error) {
-	const evalReps, evalSeed, rounds = 8, 99, 5
-	if evalEng == nil {
-		evalEng = core.New(simllm.New(simllm.GPT4o), core.Options{
-			Spec: cluster.Default(), TuningModel: simllm.Claude37,
-			AnalysisModel: simllm.GPT4o, ExtractModel: simllm.GPT4o,
-			Scale: 0.25, Platform: platform.Simulator{},
-		})
-	}
-	cfg := params.DefaultConfig(evalEng.Registry())
-	eval := func() error {
-		_, _, err := evalEng.Evaluate(ctx, core.EvalRequest{Workload: "IOR_16M", Config: cfg, Reps: evalReps, SeedBase: evalSeed})
-		return err
-	}
-	if pass == 1 {
-		if err := eval(); err != nil {
-			return benchRecord{}, err
-		}
-		runtime.GC()
-	}
-	meter := newSimMeter()
-	t0 := time.Now()
-	for i := 0; i < rounds; i++ {
-		if err := eval(); err != nil {
-			return benchRecord{}, err
+// selected reports whether any row's flag asks for it to run.
+func selected(table []scenario) bool {
+	for _, sc := range table {
+		if sc.n > 0 {
+			return true
 		}
 	}
-	elapsed := time.Since(t0).Seconds()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	rec := benchRecord{Experiment: "eval", Pass: pass, Seconds: elapsed, Platform: "sim"}
-	meter.record(&rec, elapsed)
-	rec.EvalMS = elapsed * 1000 / rounds
-	rec.AllocsPerEval = float64(ms.Mallocs-meter.allocs) / rounds
-	return rec, nil
+	return false
 }
 
-// startServer runs an in-process stellar-serve instance on an ephemeral
-// loopback port for one pass, serving from cache (a default cache over plat
-// when the flags stacked none). n bounds the pass: the backlog, the sweep
-// grid and the tune pool. stop closes the listener, then the server.
-func startServer(plat platform.Platform, cache *runcache.Cache, cfg experiments.Config, n int) (srv *server.Server, base string, stop func(), err error) {
-	if cache == nil {
-		cache = runcache.New(plat, 0)
-	}
-	srv, err = server.New(server.Options{
-		Cache: cache,
-		Scale: cfg.Scale, Seed: cfg.Seed, Reps: cfg.Reps,
-		Workers: cfg.Parallel, Parallel: 1,
-		Backlog: n, MaxSweepCells: n, MaxTuneCandidates: n,
-	})
-	if err != nil {
-		return nil, "", nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		srv.Close()
-		return nil, "", nil, err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	stop = func() {
-		hs.Close()
-		srv.Close()
-	}
-	return srv, "http://" + ln.Addr().String(), stop, nil
-}
-
-// readFooter posts body to url, consumes the NDJSON stream to completion,
-// and decodes its last line (the footer) into footer.
-func readFooter(ctx context.Context, url, body string, footer any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, strings.NewReader(body))
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("HTTP %d: %s", resp.StatusCode, msg)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var last []byte
-	for sc.Scan() {
-		last = append(last[:0], sc.Bytes()...)
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	if err := json.Unmarshal(last, footer); err != nil {
-		return fmt.Errorf("parsing footer: %w", err)
+// run executes the selected rows in table order, stopping at the first
+// failure; records emitted before it are kept.
+func (b *bench) run(ctx context.Context, table []scenario) error {
+	for _, sc := range table {
+		if sc.n <= 0 {
+			continue
+		}
+		if err := sc.run(ctx, sc.n); err != nil {
+			return fmt.Errorf("%s: %w", sc.name, err)
+		}
 	}
 	return nil
 }
 
-// servePass measures tuning-as-a-service throughput: an in-process
-// stellar-serve instance on an ephemeral port, n identical evaluate
-// requests fanned over the experiment worker pool, recorded like any other
-// bench pass. The first request pays the simulations; the rest exercise the
-// shared run cache, so the rate reflects serving overhead at steady state.
-func servePass(ctx context.Context, plat platform.Platform, cache *runcache.Cache, cfg experiments.Config, n int) (benchRecord, error) {
-	cfg = cfg.Defaults()
-	srv, base, stop, err := startServer(plat, cache, cfg, n)
-	if err != nil {
-		return benchRecord{}, err
-	}
-	defer stop()
+// meter is the one pass meter: every scenario brackets its measured work
+// with startMeter and stop. Allocations are whole-process
+// (runtime.MemStats.Mallocs), so on served passes they include HTTP and
+// JSON overhead; on sim passes they are the bare kernel.
+type meter struct {
+	cache  *runcache.Cache
+	before runcache.Stats
+	events uint64
+	allocs uint64
+	t0     time.Time
+}
 
-	url := base + "/v1/evaluate"
-	body := fmt.Sprintf(`{"workload":"IOR_16M","reps":%d,"seed":%d}`, cfg.Reps, cfg.Seed)
-	before := srv.Cache().Stats()
-	meter := newSimMeter()
-	t0 := time.Now()
-	err = pool.Map(ctx, cfg.Parallel, n, func(ctx context.Context, i int) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, strings.NewReader(body))
-		if err != nil {
-			return err
+// startMeter snapshots the event counter, the allocation tally and, when
+// cache is non-nil, its counters, then starts the clock.
+func startMeter(cache *runcache.Cache) *meter {
+	m := &meter{cache: cache, events: sim.TotalFired(), allocs: mallocs()}
+	if cache != nil {
+		m.before = cache.Stats()
+	}
+	m.t0 = time.Now()
+	return m
+}
+
+// stop stamps rec with the pass's wall-clock, events, events/sec,
+// allocs/event and cache delta, plus units of work per second as RPS when
+// units > 0, and returns the allocations made during the pass.
+func (m *meter) stop(rec *benchRecord, units int) uint64 {
+	rec.Seconds = time.Since(m.t0).Seconds()
+	allocs := mallocs() - m.allocs
+	if ev := sim.TotalFired() - m.events; ev > 0 {
+		rec.Events = ev
+		rec.AllocsPerEvent = float64(allocs) / float64(ev)
+		if rec.Seconds > 0 {
+			rec.EventsPerSec = float64(ev) / rec.Seconds
 		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("request %d: HTTP %d", i, resp.StatusCode)
+	}
+	if units > 0 && rec.Seconds > 0 {
+		rec.RPS = float64(units) / rec.Seconds
+	}
+	if m.cache != nil {
+		delta := m.cache.Stats().Delta(m.before)
+		rec.Cache = &delta
+	}
+	return allocs
+}
+
+func mallocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
+}
+
+// emit keeps one finished pass and prints its footer — the one summary
+// printer: the cache delta under -cache-stats, then a "took" line with the
+// wall-clock and whichever counters the scenario measured. Everything
+// nondeterministic stays on the "took" line, which determinism checks
+// strip with `grep -v took`.
+func (b *bench) emit(rec benchRecord) {
+	b.records = append(b.records, rec)
+	if rec.Cache != nil && b.cacheStats {
+		fmt.Fprintf(b.out, "(%s pass %d cache: %s)\n", rec.Experiment, rec.Pass, rec.Cache)
+	}
+	var parts []string
+	if rec.Requests > 0 {
+		parts = append(parts, fmt.Sprintf("%d requests, %.1f/s", rec.Requests, rec.RPS))
+	}
+	if rec.Evaluations > 0 {
+		parts = append(parts, fmt.Sprintf("%d evaluations over %d rounds, winner %.2fx", rec.Evaluations, rec.Rounds, rec.Speedup))
+	}
+	if rec.Nodes > 0 {
+		parts = append(parts, fmt.Sprintf("%d nodes, %d forwards, %d coalesced remote", rec.Nodes, rec.Forwards, rec.CoalescedRemote))
+	}
+	if rec.EvalMS > 0 {
+		parts = append(parts, fmt.Sprintf("%.1f ms/eval, %.0f allocs/eval", rec.EvalMS, rec.AllocsPerEval))
+	}
+	if rec.Events > 0 {
+		parts = append(parts, fmt.Sprintf("%d events, %.2fM events/s, %.4f allocs/event", rec.Events, rec.EventsPerSec/1e6, rec.AllocsPerEvent))
+	}
+	took := time.Duration(rec.Seconds * float64(time.Second)).Round(time.Millisecond)
+	detail := ""
+	if len(parts) > 0 {
+		detail = ": " + strings.Join(parts, ", ")
+	}
+	fmt.Fprintf(b.out, "(%s pass %d took %v%s)\n\n", rec.Experiment, rec.Pass, took, detail)
+}
+
+// figurePasses regenerates experiment id n times, printing each table.
+func (b *bench) figurePasses(id string) func(context.Context, int) error {
+	return func(ctx context.Context, n int) error {
+		for pass := 1; pass <= n; pass++ {
+			m := startMeter(b.cache)
+			out, err := experiments.Run(ctx, id, b.cfg)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(b.out, out)
+			rec := benchRecord{Experiment: id, Pass: pass, Platform: b.cfg.Platform.Name()}
+			m.stop(&rec, 0)
+			b.emit(rec)
 		}
 		return nil
+	}
+}
+
+// simPasses measures the raw event kernel with no lustre model, run cache,
+// or HTTP stack above it: the deterministic sim.Workout mix of timer
+// chains, pipe transfers, resource contention, and same-instant grant
+// wakeups, the same body BenchmarkEngineRun times. Its events_per_sec is
+// the number the CI sim-perf gate compares against the committed
+// BENCH_sim.json baseline, and its allocs_per_event is the cleanest view
+// of the allocation-free hot loop. An unmeasured warm-up round and a GC
+// run first so one-time runtime initialization is not charged to a pass.
+func (b *bench) simPasses(ctx context.Context, n int) error {
+	const chains, ops, rounds = 64, 256, 16
+	sim.Workout(chains, ops)
+	runtime.GC()
+	for pass := 1; pass <= n; pass++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		m := startMeter(nil)
+		for i := 0; i < rounds; i++ {
+			sim.Workout(chains, ops)
+		}
+		rec := benchRecord{Experiment: "sim", Pass: pass, Platform: "kernel"}
+		m.stop(&rec, 0)
+		b.emit(rec)
+	}
+	return nil
+}
+
+// evalPasses measures one uncached eight-rep core.Evaluate of IOR_16M —
+// the paper's measurement protocol with the full model layer under it
+// (workload build, pooled procfs snapshot, lustre simulation, stats) and
+// nothing above it. Per-eval wall-clock (eval_ms) and whole-process
+// allocations (allocs_per_eval) gate the model layer in CI the same way
+// events_per_sec gates the kernel. One engine serves every pass, and an
+// unmeasured warm-up eval plus a GC run first, so the passes measure the
+// steady state the figure drivers run in, scratch pools warm.
+func (b *bench) evalPasses(ctx context.Context, n int) error {
+	const rounds = 5
+	eng := core.New(simllm.New(simllm.GPT4o), core.Options{
+		Spec: cluster.Default(), TuningModel: simllm.Claude37,
+		AnalysisModel: simllm.GPT4o, ExtractModel: simllm.GPT4o,
+		Scale: 0.25, Platform: platform.Simulator{},
 	})
-	if err != nil {
-		return benchRecord{}, err
+	req := core.EvalRequest{Workload: "IOR_16M", Config: params.DefaultConfig(eng.Registry()), Reps: 8, SeedBase: 99}
+	eval := func() error {
+		_, _, err := eng.Evaluate(ctx, req)
+		return err
 	}
-	elapsed := time.Since(t0).Seconds()
-	delta := srv.Cache().Stats().Delta(before)
-	rec := benchRecord{
-		Experiment: "serve", Pass: 1, Seconds: elapsed,
-		Platform: srv.Platform().Name(), Cache: &delta,
-		Requests: n, RPS: float64(n) / elapsed,
+	if err := eval(); err != nil {
+		return err
 	}
-	meter.record(&rec, elapsed)
-	return rec, nil
+	runtime.GC()
+	for pass := 1; pass <= n; pass++ {
+		m := startMeter(nil)
+		for i := 0; i < rounds; i++ {
+			if err := eval(); err != nil {
+				return err
+			}
+		}
+		rec := benchRecord{Experiment: "eval", Pass: pass, Platform: "sim"}
+		allocs := m.stop(&rec, 0)
+		rec.EvalMS = rec.Seconds * 1000 / rounds
+		rec.AllocsPerEval = float64(allocs) / rounds
+		b.emit(rec)
+	}
+	return nil
 }
 
-// sweepPass measures the batch sweep API: an in-process stellar-serve
-// instance, one POST /v1/sweeps whose grid expands to n cells (n values of
-// one parameter), the NDJSON stream consumed to completion. The recorded
-// cache delta carries the shard count and persistence counters, so a
-// BENCH_*.json trajectory shows how much of a grid the sharded cache and
-// the disk directory absorbed.
-func sweepPass(ctx context.Context, plat platform.Platform, cache *runcache.Cache, cfg experiments.Config, n int) (benchRecord, error) {
-	cfg = cfg.Defaults()
-	srv, base, stop, err := startServer(plat, cache, cfg, n)
-	if err != nil {
-		return benchRecord{}, err
-	}
-	defer stop()
-
-	// n cells: n distinct values of one well-understood parameter, so every
-	// cell is a unique spec and the recorded miss count means what it says.
-	// (Values past the registry range are clamped at run time but still
-	// hash to distinct cache keys.)
-	vals := make([]string, n)
-	for i := range vals {
-		vals[i] = fmt.Sprint(i + 1) // osc.max_pages_per_rpc
-	}
-	body := fmt.Sprintf(`{"workload":"IOR_16M","reps":%d,"seed":%d,"grid":{"osc.max_pages_per_rpc":[%s]}}`,
-		cfg.Reps, cfg.Seed, strings.Join(vals, ","))
-
-	before := srv.Cache().Stats()
-	meter := newSimMeter()
-	t0 := time.Now()
-	var footer server.SweepFooter
-	if err := readFooter(ctx, base+"/v1/sweeps", body, &footer); err != nil {
-		return benchRecord{}, err
-	}
-	if footer.Done != n {
-		return benchRecord{}, fmt.Errorf("sweep completed %d/%d cells (%d failed)", footer.Done, n, footer.Failed)
-	}
-	elapsed := time.Since(t0).Seconds()
-	delta := srv.Cache().Stats().Delta(before)
-	rec := benchRecord{
-		Experiment: "sweep", Pass: 1, Seconds: elapsed,
-		Platform: srv.Platform().Name(), Cache: &delta,
-		Requests: n, RPS: float64(n) / elapsed,
-	}
-	meter.record(&rec, elapsed)
-	return rec, nil
-}
-
-// tunePass measures the adaptive tuning-search API: an in-process
-// stellar-serve instance, one POST /v1/tune over an n-candidate pool, the
-// NDJSON round stream consumed to completion. The recorded pass carries the
-// winning configuration and the search budget, so two passes over the same
-// -cache-dir demonstrate the determinism contract: the second reports zero
-// misses and the byte-identical winner.
-func tunePass(ctx context.Context, plat platform.Platform, cache *runcache.Cache, cfg experiments.Config, n int) (benchRecord, error) {
-	cfg = cfg.Defaults()
-	srv, base, stop, err := startServer(plat, cache, cfg, n)
-	if err != nil {
-		return benchRecord{}, err
-	}
-	defer stop()
-
-	body := fmt.Sprintf(`{"workload":"IOR_16M","candidates":%d,"max_reps":%d,"seed":%d}`,
-		n, cfg.Reps, cfg.Seed)
-	before := srv.Cache().Stats()
-	meter := newSimMeter()
-	t0 := time.Now()
-	var footer server.TuneFooter
-	if err := readFooter(ctx, base+"/v1/tune", body, &footer); err != nil {
-		return benchRecord{}, err
-	}
-	if footer.Cancelled || footer.Error != "" {
-		return benchRecord{}, fmt.Errorf("search did not complete: cancelled=%v error=%q", footer.Cancelled, footer.Error)
-	}
-	elapsed := time.Since(t0).Seconds()
-	delta := srv.Cache().Stats().Delta(before)
-	rec := benchRecord{
-		Experiment: "tune", Pass: 1, Seconds: elapsed,
-		Platform: srv.Platform().Name(), Cache: &delta,
-		Requests: n, RPS: float64(footer.Evaluations) / elapsed,
-		Winner: footer.Winner.Config, Rounds: footer.Rounds,
-		Evaluations: footer.Evaluations, Speedup: footer.Speedup,
-	}
-	meter.record(&rec, elapsed)
-	return rec, nil
-}
-
-// flushJSON writes whatever passes completed so far. Called on both the
-// success path and from fatal, so a SIGINT during pass N still leaves the
-// first N-1 records in the -json file. The write is atomic (temp file +
-// rename): an interrupt mid-write must never leave a truncated BENCH_*.json
-// behind where a previous complete one stood.
-func flushJSON() {
-	if jsonPath == "" || records == nil {
+// writeJSON writes whatever passes completed, on the failure path too, so
+// a SIGINT during pass N still leaves the first N-1 records in the -json
+// file. The write is atomic (temp file + rename): an interrupt mid-write
+// must never leave a truncated BENCH_*.json behind where a previous
+// complete one stood.
+func writeJSON(path string, records []benchRecord) {
+	if path == "" || records == nil {
 		return
 	}
 	data, err := json.MarshalIndent(records, "", "  ")
@@ -610,7 +424,7 @@ func flushJSON() {
 		return
 	}
 	data = append(data, '\n')
-	tmp, err := os.CreateTemp(filepath.Dir(jsonPath), filepath.Base(jsonPath)+".tmp*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stellar-bench: writing -json file:", err)
 		return
@@ -620,7 +434,7 @@ func flushJSON() {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp.Name(), jsonPath)
+		err = os.Rename(tmp.Name(), path)
 	}
 	if err != nil {
 		os.Remove(tmp.Name())
@@ -629,7 +443,6 @@ func flushJSON() {
 }
 
 func fatal(err error) {
-	flushJSON()
 	fmt.Fprintln(os.Stderr, "stellar-bench:", err)
 	os.Exit(1)
 }

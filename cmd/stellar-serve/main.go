@@ -43,12 +43,9 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
-	"time"
 
 	"stellar/internal/cli"
 	"stellar/internal/pool"
@@ -98,21 +95,6 @@ func main() {
 	}
 }
 
-// splitPeers parses the comma-separated -peers flag, dropping empty
-// entries and surrounding whitespace.
-func splitPeers(csv string) []string {
-	if csv == "" {
-		return nil
-	}
-	var peers []string
-	for _, p := range strings.Split(csv, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peers = append(peers, p)
-		}
-	}
-	return peers
-}
-
 // serve runs the server until ctx is cancelled. onReady, when non-nil, is
 // called with the bound address once the listener is up.
 func serve(ctx context.Context, cfg serveConfig, onReady func(addr string)) error {
@@ -135,7 +117,7 @@ func serve(ctx context.Context, cfg serveConfig, onReady func(addr string)) erro
 		Backlog:     cfg.backlog,
 		Parallel:    cfg.parallel,
 		Pprof:       cfg.pprof,
-		Peers:       splitPeers(cfg.peers),
+		Peers:       cli.SplitList(cfg.peers),
 		Self:        cfg.self,
 		TenantQuota: cfg.tenantQuota,
 	})
@@ -148,13 +130,6 @@ func serve(ctx context.Context, cfg serveConfig, onReady func(addr string)) erro
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{
-		Handler: srv.Handler(),
-		// Request contexts derive from the signal context: a SIGINT cancels
-		// every in-flight evaluation, which is what lets Shutdown drain
-		// promptly even mid-simulation.
-		BaseContext: func(net.Listener) context.Context { return ctx },
-	}
 	log.Printf("stellar-serve: listening on %s [platform %s, %d workers, backlog %d, scale %g]",
 		ln.Addr(), srv.Platform().Name(), cfg.workers, cfg.backlog, cfg.scale)
 	if cfg.self != "" {
@@ -163,19 +138,6 @@ func serve(ctx context.Context, cfg serveConfig, onReady func(addr string)) erro
 	if onReady != nil {
 		onReady(ln.Addr().String())
 	}
-
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	log.Printf("stellar-serve: shutting down")
-	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	return nil
+	defer context.AfterFunc(ctx, func() { log.Printf("stellar-serve: shutting down") })()
+	return srv.Serve(ctx, ln)
 }

@@ -8,6 +8,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"stellar/internal/platform"
 	"stellar/internal/runcache"
@@ -107,4 +108,16 @@ func checkDir(flagName, dir string, mustExist bool) error {
 	default:
 		return fmt.Errorf("%s %q: %w", flagName, dir, err)
 	}
+}
+
+// SplitList parses a comma-separated flag value such as -peers, dropping
+// empty entries and surrounding whitespace; an empty value is nil.
+func SplitList(csv string) []string {
+	var out []string
+	for _, p := range strings.Split(csv, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			out = append(out, p)
+		}
+	}
+	return out
 }

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -138,5 +139,18 @@ func TestBuildDefaultRecordDirUnvalidatedForSim(t *testing.T) {
 	pf := parse(t)
 	if _, _, err := pf.Build(); err != nil {
 		t.Fatalf("sim backend must not validate -record-dir: %v", err)
+	}
+}
+
+func TestSplitList(t *testing.T) {
+	for in, want := range map[string][]string{
+		"":                 nil,
+		" , ":              nil,
+		"h1:1":             {"h1:1"},
+		" h1:1 ,, h2:2 , ": {"h1:1", "h2:2"},
+	} {
+		if got := SplitList(in); !reflect.DeepEqual(got, want) {
+			t.Errorf("SplitList(%q) = %q, want %q", in, got, want)
+		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"stellar/internal/lustre"
 	"stellar/internal/params"
 	"stellar/internal/platform"
+	"stellar/internal/runcache"
 	"stellar/internal/workload"
 )
 
@@ -99,26 +100,20 @@ type Stats struct {
 	ServedForwards  uint64   `json:"served_forwards"`
 }
 
-// Delta returns s - before with the same clamping contract as
-// runcache.Stats.Delta: counters never go negative even if "before" is from
-// a different process lifetime. Self and Peers carry over from s.
+// Delta returns s - before, each counter clamped by runcache.CounterDelta
+// exactly as runcache.Stats.Delta clamps its own: counters never go
+// negative even if "before" is from a different process lifetime. Self and
+// Peers carry over from s.
 func (s Stats) Delta(before Stats) Stats {
 	return Stats{
 		Self:            s.Self,
 		Peers:           s.Peers,
-		Local:           sub(s.Local, before.Local),
-		Forwards:        sub(s.Forwards, before.Forwards),
-		ForwardErrs:     sub(s.ForwardErrs, before.ForwardErrs),
-		CoalescedRemote: sub(s.CoalescedRemote, before.CoalescedRemote),
-		ServedForwards:  sub(s.ServedForwards, before.ServedForwards),
+		Local:           runcache.CounterDelta(s.Local, before.Local),
+		Forwards:        runcache.CounterDelta(s.Forwards, before.Forwards),
+		ForwardErrs:     runcache.CounterDelta(s.ForwardErrs, before.ForwardErrs),
+		CoalescedRemote: runcache.CounterDelta(s.CoalescedRemote, before.CoalescedRemote),
+		ServedForwards:  runcache.CounterDelta(s.ServedForwards, before.ServedForwards),
 	}
-}
-
-func sub(a, b uint64) uint64 {
-	if a < b {
-		return 0
-	}
-	return a - b
 }
 
 // Fleet is a platform.Platform that routes each run to its rendezvous

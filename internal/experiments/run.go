@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strings"
 )
 
 // IDs lists every runnable experiment id, including the textual Figure 10
@@ -33,7 +34,7 @@ func Run(ctx context.Context, id string, c Config) (string, error) {
 	}
 	e, ok := Lookup(id)
 	if !ok {
-		return "", fmt.Errorf("experiments: unknown experiment %q", id)
+		return "", fmt.Errorf("experiments: unknown experiment %q (known: %s)", id, strings.Join(IDs(), ", "))
 	}
 	tbl, err := e.Run(ctx, c)
 	if err != nil {

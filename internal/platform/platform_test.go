@@ -2,6 +2,7 @@ package platform
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -321,5 +322,38 @@ func TestRecorderKeepsTracedRecording(t *testing.T) {
 	}
 	if matches, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(matches) != 1 {
 		t.Fatalf("want exactly one recording, got %d", len(matches))
+	}
+}
+
+// TestRecorderRepairsBadRecording: an event-less record over a torn or
+// mislabelled <key>.json must replace it, so the next replay serves the
+// spec instead of failing on the file the record pass kept.
+func TestRecorderRepairsBadRecording(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bad  string // file contents; %q is another spec's key
+	}{
+		{"torn", `{"key":%q,"result":{`},
+		{"mislabelled", `{"key":%q,"seed":5}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			spec := testRunSpec(t, 4)
+			bad := fmt.Sprintf(tc.bad, testRunSpec(t, 5).Key())
+			if err := os.WriteFile(filepath.Join(dir, spec.Key()+".json"), []byte(bad), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			want, err := (&Recorder{Inner: Simulator{}, Dir: dir}).Run(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := (&Replayer{Dir: dir}).Run(context.Background(), spec)
+			if err != nil {
+				t.Fatalf("replay after re-record: %v", err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("replayed %+v, recorded %+v", got, want)
+			}
+		})
 	}
 }

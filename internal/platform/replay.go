@@ -39,7 +39,8 @@ func WriteRecording(dir string, rec *Recording) error {
 // stageRecording marshals rec and writes it to a temp file in dir,
 // returning the temp path ready to be renamed into place. Splitting the
 // expensive part from the rename lets the Recorder serialize only the
-// exists-check/rename pair while staging runs concurrently across keys.
+// existing-file check and the rename while staging runs concurrently
+// across keys.
 func stageRecording(dir string, rec *Recording) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
@@ -92,8 +93,9 @@ type Recorder struct {
 	Inner Platform
 	Dir   string
 
-	// mu serializes the exists-check/write pair in write so a concurrent
-	// event-less recording can never clobber a traced one for the same key.
+	// mu serializes the existing-file check and the rename in write so a
+	// concurrent event-less recording can never clobber a traced one for
+	// the same key.
 	mu sync.Mutex
 }
 
@@ -160,10 +162,12 @@ func (r *Recorder) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
 }
 
 // write persists atomically. Traced and untraced runs of one spec share a
-// key and an identical result; an event-less recording never replaces an
-// existing one, which may carry the richer traced form. The marshal and
-// temp-file I/O run outside the lock; only the exists-check and rename are
-// serialized, so distinct keys still record concurrently.
+// key and an identical result; an event-less recording never replaces a
+// valid existing one, which may carry the richer traced form. A torn or
+// mislabelled file is not a recording of this key, so it is replaced — a
+// record pass repairs what a Replayer would reject. The marshal and
+// temp-file I/O run outside the lock; only the existing-file check and the
+// rename are serialized, so distinct keys still record concurrently.
 func (r *Recorder) write(rec *Recording) error {
 	tmp, err := stageRecording(r.Dir, rec)
 	if err != nil {
@@ -172,7 +176,7 @@ func (r *Recorder) write(rec *Recording) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(rec.Events) == 0 {
-		if _, err := os.Stat(filepath.Join(r.Dir, rec.Key+".json")); err == nil {
+		if _, err := ReadRecording(r.Dir, rec.Key); err == nil {
 			os.Remove(tmp)
 			return nil
 		}

@@ -88,13 +88,13 @@ func (s Stats) HitRate() float64 {
 // rather than wrapping uint64 into astronomically large values.
 func (s Stats) Delta(before Stats) Stats {
 	return Stats{
-		Hits:      sub(s.Hits, before.Hits),
-		Misses:    sub(s.Misses, before.Misses),
-		Coalesced: sub(s.Coalesced, before.Coalesced),
-		Bypassed:  sub(s.Bypassed, before.Bypassed),
-		Evictions: sub(s.Evictions, before.Evictions),
-		DiskHits:  sub(s.DiskHits, before.DiskHits),
-		DiskErrs:  sub(s.DiskErrs, before.DiskErrs),
+		Hits:      CounterDelta(s.Hits, before.Hits),
+		Misses:    CounterDelta(s.Misses, before.Misses),
+		Coalesced: CounterDelta(s.Coalesced, before.Coalesced),
+		Bypassed:  CounterDelta(s.Bypassed, before.Bypassed),
+		Evictions: CounterDelta(s.Evictions, before.Evictions),
+		DiskHits:  CounterDelta(s.DiskHits, before.DiskHits),
+		DiskErrs:  CounterDelta(s.DiskErrs, before.DiskErrs),
 		Entries:   s.Entries,
 		Capacity:  s.Capacity,
 		Shards:    s.Shards,
@@ -102,12 +102,14 @@ func (s Stats) Delta(before Stats) Stats {
 	}
 }
 
-// sub is a - b clamped at zero for counter deltas across cache lifetimes.
-func sub(a, b uint64) uint64 {
-	if a < b {
+// CounterDelta is after - before for a monotonic counter, clamped at zero
+// so a snapshot from a different or restarted process never wraps the
+// uint64. Every Stats.Delta in the serving tier uses it.
+func CounterDelta(after, before uint64) uint64 {
+	if after < before {
 		return 0
 	}
-	return a - b
+	return after - before
 }
 
 func (s Stats) String() string {

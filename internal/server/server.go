@@ -48,6 +48,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"time"
@@ -246,6 +247,37 @@ func (s *Server) Platform() platform.Platform { return s.plat }
 func (s *Server) Close() {
 	s.stop()
 	s.queue.Close()
+}
+
+// shutdownGrace bounds how long Serve waits for in-flight handlers to
+// return once its context is cancelled.
+const shutdownGrace = 10 * time.Second
+
+// Serve answers requests on ln until ctx is cancelled, then shuts down
+// gracefully. Request contexts derive from ctx, so cancelling it aborts
+// in-flight evaluations mid-simulation and Shutdown drains promptly; it
+// waits up to shutdownGrace for the handlers to return. This is the one
+// serve loop behind stellar-serve and every stellar-bench server, the
+// in-process ones and the cluster nodes alike. The caller keeps owning s
+// and closes it after Serve returns.
+func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
+	hs := &http.Server{
+		Handler:     s.Handler(),
+		BaseContext: func(net.Listener) context.Context { return ctx },
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- hs.Serve(ln) }()
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+	}
+	sctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), shutdownGrace)
+	defer cancel()
+	if err := hs.Shutdown(sctx); err != nil {
+		return fmt.Errorf("shutdown: %w", err)
+	}
+	return nil
 }
 
 // Handler returns the routed HTTP handler.
