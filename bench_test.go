@@ -380,6 +380,35 @@ func BenchmarkCompleteTuningRun(b *testing.B) {
 	}
 }
 
+// BenchmarkAgentTuneMix runs the simulator mix of perfbench's agent-tune
+// workload: each op tunes the next of the five workload.Benchmarks()
+// families at scale 0.05 on a fresh engine over a fresh write-through run
+// cache on one shared directory. Seeds step by 1000 per op, so no trial
+// repeats a key already on disk and every trial simulates. It reports the
+// simulation events per tune, and `-cpuprofile` on it profiles the tuning
+// loop's kernel share without perfbench.
+func BenchmarkAgentTuneMix(b *testing.B) {
+	families := workload.Benchmarks()
+	dir := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := sim.TotalFired()
+	for i := 0; i < b.N; i++ {
+		cache := runcache.NewWithOptions(platform.Simulator{}, runcache.Options{Dir: dir})
+		eng := core.New(simllm.New(simllm.GPT4o), core.Options{
+			Spec: cluster.Default(), TuningModel: simllm.Claude37,
+			AnalysisModel: simllm.GPT4o, ExtractModel: simllm.GPT4o,
+			Scale: 0.05, MaxAttempts: 5, Seed: int64(1000 * (i + 1)), Platform: cache,
+		})
+		if _, err := eng.Tune(context.Background(), families[i%len(families)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(sim.TotalFired()-start)/float64(b.N), "events/op")
+	reportEvents(b, start)
+}
+
 // benchTuneSearch runs the adaptive successive-halving search end to end
 // over the given platform stack.
 func benchTuneSearch(b *testing.B, plat platform.Platform) {

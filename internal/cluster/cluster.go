@@ -5,7 +5,10 @@
 // nodes running 50 MPI processes in total.
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Spec captures the cluster facts the tuner and the simulator need. Rates
 // are bytes per second; times are seconds.
@@ -78,7 +81,10 @@ func Default() Spec {
 // TotalRanks returns the number of MPI processes across all client nodes.
 func (s Spec) TotalRanks() int { return s.ClientNodes * s.ProcsPerNode }
 
-// Validate reports an error for nonsensical specs.
+// Validate reports an error for nonsensical specs: bandwidths must be
+// positive and finite, and every time or cost field finite and
+// non-negative. The comparisons are written so NaN fails them; a NaN or
+// negative field would otherwise validate and then panic mid-simulation.
 func (s Spec) Validate() error {
 	switch {
 	case s.ClientNodes < 1:
@@ -87,10 +93,33 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("cluster: need at least one rank per node, got %d", s.ProcsPerNode)
 	case s.OSTCount < 1:
 		return fmt.Errorf("cluster: need at least one OST, got %d", s.OSTCount)
-	case s.NICBandwidth <= 0 || s.DiskWriteBW <= 0 || s.DiskReadBW <= 0:
-		return fmt.Errorf("cluster: bandwidths must be positive")
+	case !(s.NICBandwidth > 0 && s.NICBandwidth <= math.MaxFloat64) ||
+		!(s.DiskWriteBW > 0 && s.DiskWriteBW <= math.MaxFloat64) ||
+		!(s.DiskReadBW > 0 && s.DiskReadBW <= math.MaxFloat64):
+		return fmt.Errorf("cluster: bandwidths must be positive and finite")
 	case s.OSTServiceThreads < 1 || s.MDSServiceThreads < 1:
 		return fmt.Errorf("cluster: service thread counts must be >= 1")
+	}
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"DiskSeekTime", s.DiskSeekTime},
+		{"RPCServiceFloor", s.RPCServiceFloor},
+		{"MDSCreateTime", s.MDSCreateTime},
+		{"MDSOpenTime", s.MDSOpenTime},
+		{"MDSStatTime", s.MDSStatTime},
+		{"MDSCloseTime", s.MDSCloseTime},
+		{"MDSUnlinkTime", s.MDSUnlinkTime},
+		{"MDSReaddirTime", s.MDSReaddirTime},
+		{"MDSPerStripeCost", s.MDSPerStripeCost},
+		{"DirLockSerial", s.DirLockSerial},
+		{"NetworkRTT", s.NetworkRTT},
+		{"ChecksumPerByte", s.ChecksumPerByte},
+	} {
+		if !(f.v >= 0 && f.v <= math.MaxFloat64) {
+			return fmt.Errorf("cluster: %s must be finite and non-negative, got %g", f.name, f.v)
+		}
 	}
 	return nil
 }

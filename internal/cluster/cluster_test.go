@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -28,6 +29,27 @@ func TestValidateCatchesNonsense(t *testing.T) {
 		func(s *Spec) { s.OSTCount = 0 },
 		func(s *Spec) { s.NICBandwidth = 0 },
 		func(s *Spec) { s.OSTServiceThreads = 0 },
+		// NaN passes a `<= 0` check, so NaN bandwidths, and any negative
+		// or non-finite time field, used to validate and then panic
+		// inside the simulator.
+		func(s *Spec) { s.NICBandwidth = math.NaN() },
+		func(s *Spec) { s.NICBandwidth = math.Inf(1) },
+		func(s *Spec) { s.DiskWriteBW = math.NaN() },
+		func(s *Spec) { s.DiskReadBW = math.Inf(1) },
+		func(s *Spec) { s.NetworkRTT = -1e-6 },
+		func(s *Spec) { s.NetworkRTT = math.NaN() },
+		func(s *Spec) { s.NetworkRTT = math.Inf(1) },
+		func(s *Spec) { s.DiskSeekTime = -1e-3 },
+		func(s *Spec) { s.RPCServiceFloor = math.NaN() },
+		func(s *Spec) { s.MDSCreateTime = -1 },
+		func(s *Spec) { s.MDSOpenTime = math.NaN() },
+		func(s *Spec) { s.MDSStatTime = math.Inf(1) },
+		func(s *Spec) { s.MDSCloseTime = -1 },
+		func(s *Spec) { s.MDSUnlinkTime = math.NaN() },
+		func(s *Spec) { s.MDSReaddirTime = -1 },
+		func(s *Spec) { s.MDSPerStripeCost = math.NaN() },
+		func(s *Spec) { s.DirLockSerial = -0.1 },
+		func(s *Spec) { s.ChecksumPerByte = math.NaN() },
 	}
 	for i, mutate := range cases {
 		s := Default()
@@ -35,6 +57,12 @@ func TestValidateCatchesNonsense(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Errorf("case %d: invalid spec accepted", i)
 		}
+	}
+	// Zero is a legal time: a spec may model a free operation.
+	s := Default()
+	s.NetworkRTT, s.DiskSeekTime, s.ChecksumPerByte = 0, 0, 0
+	if err := s.Validate(); err != nil {
+		t.Errorf("zero times rejected: %v", err)
 	}
 }
 

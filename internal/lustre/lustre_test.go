@@ -2,7 +2,7 @@ package lustre
 
 import (
 	"context"
-
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -52,6 +52,48 @@ func TestRunValidation(t *testing.T) {
 	bad := &workload.Workload{Name: "bad"}
 	if _, err := Run(context.Background(), bad, Options{Spec: testSpec(), Config: defaultCfg()}); err == nil {
 		t.Fatal("empty workload accepted")
+	}
+}
+
+// TestRunRejectsNonFiniteInputs: a NaN bandwidth, or a negative or NaN
+// time, used to pass validation and then panic inside the simulator (in
+// sim.NewPipe, or in the scheduler mid-run). Run must return an error
+// instead.
+func TestRunRejectsNonFiniteInputs(t *testing.T) {
+	nan := math.NaN()
+	cases := map[string]struct {
+		spec  func(*cluster.Spec)
+		think float64
+	}{
+		"NaN NIC":         {spec: func(s *cluster.Spec) { s.NICBandwidth = nan }},
+		"NaN disk write":  {spec: func(s *cluster.Spec) { s.DiskWriteBW = nan }},
+		"negative RTT":    {spec: func(s *cluster.Spec) { s.NetworkRTT = -1e-4 }},
+		"NaN RTT":         {spec: func(s *cluster.Spec) { s.NetworkRTT = nan }},
+		"negative seek":   {spec: func(s *cluster.Spec) { s.DiskSeekTime = -1 }},
+		"NaN RPC floor":   {spec: func(s *cluster.Spec) { s.RPCServiceFloor = nan }},
+		"negative create": {spec: func(s *cluster.Spec) { s.MDSCreateTime = -1 }},
+		"NaN think time":  {think: nan},
+		"negative think":  {think: -1e-6},
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			spec := testSpec()
+			if c.spec != nil {
+				c.spec(&spec)
+			}
+			w := smallIOR(false)
+			if c.think != 0 {
+				w.ComputePerOp = c.think
+			}
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("Run panicked instead of returning an error: %v", p)
+				}
+			}()
+			if _, err := Run(context.Background(), w, Options{Spec: spec, Config: defaultCfg()}); err == nil {
+				t.Fatal("invalid input accepted")
+			}
+		})
 	}
 }
 

@@ -358,7 +358,7 @@ func (r *runner) rpcStep(i int32) {
 	case rsReply:
 		r.ostThreads[op.ost].Release()
 		op.state = rsDone
-		r.eng.After(r.spec.NetworkRTT/2, op.cont)
+		r.eng.AfterDelay(r.hop, op.cont)
 	case rsDone:
 		if now := r.eng.Now(); now > r.res.LastDataRPC {
 			r.res.LastDataRPC = now
@@ -373,7 +373,7 @@ func (r *runner) startRPC(op *rpcOp) {
 	r.res.DataRPCs++
 	op.media = r.mediaTime(op.size, op.write)
 	op.state = rsNodeNIC
-	r.eng.After(r.spec.NetworkRTT/2, op.cont)
+	r.eng.AfterDelay(r.hop, op.cont)
 }
 
 // completeRPC dispatches an arrived RPC reply by kind. Fields are copied out
@@ -454,7 +454,7 @@ func (r *runner) metaStep(i int32) {
 	switch m.state {
 	case msEnter:
 		m.state = msLock
-		r.eng.After(r.spec.NetworkRTT/2, m.cont)
+		r.eng.AfterDelay(r.hop, m.cont)
 	case msLock:
 		if m.serial > 0 && m.dir >= 0 {
 			m.state = msService
@@ -466,7 +466,7 @@ func (r *runner) metaStep(i int32) {
 		r.metaService(m)
 	case msReply:
 		m.state = msDone
-		r.eng.After(r.spec.NetworkRTT/2, m.cont)
+		r.eng.AfterDelay(r.hop, m.cont)
 	case msDone:
 		g := r.mdc[m.node]
 		if m.mod {

@@ -34,6 +34,11 @@ type runner struct {
 	// zero-fault hot path (and its rng draw order) is untouched.
 	faults *faultState
 
+	// hop (a one-way network flight, NetworkRTT/2) and think (the
+	// workload's ComputePerOp) are the run's constant delays, scheduled
+	// through the engine's fixed-delay FIFOs instead of its heap.
+	hop, think sim.Delay
+
 	nodeNIC    []*sim.Pipe
 	ostNIC     []*sim.Pipe
 	ostThreads []*sim.Resource // seek/setup stage (NCQ-style overlap)
@@ -170,6 +175,8 @@ func newRunner(w *workload.Workload, opts Options, cv cfgValues, sc *scratch) *r
 		rng:    sc.rng,
 		sink:   opts.Trace,
 		tables: sc.tables,
+		hop:    eng.NewDelay(spec.NetworkRTT / 2),
+		think:  eng.NewDelay(w.ComputePerOp),
 	}
 	if !opts.Faults.IsZero() {
 		r.faults = opts.Faults.compile(spec.OSTCount)
@@ -354,7 +361,7 @@ func (r *runner) opDone(rank int) {
 			CacheHit: rs.hit, Sequential: rs.seq,
 		})
 	}
-	r.eng.After(r.w.ComputePerOp, r.sc.ranks[rank].next)
+	r.eng.AfterDelay(r.think, r.sc.ranks[rank].next)
 }
 
 // nextOp advances the rank's program counter and runs the next op.

@@ -1,26 +1,34 @@
 package sim
 
-// Event storage for the kernel's two run queues. The design goal is an
-// allocation-free, write-barrier-free steady state:
+// Event storage for the kernel's three kinds of run queue. The design goal
+// is an allocation-free, write-barrier-free steady state:
 //
-//   - Event payloads (the closure / resource pointers) live by value in a
-//     reusable arena slab with a free list, so scheduling never allocates
-//     (the old kernel paid one *event allocation plus `any` boxing per
-//     container/heap Push/Pop).
 //   - The time-ordered queue is a hand-rolled 4-ary min-heap of heapItem
 //     {at, seq, idx} — 24 bytes, pointer-free — so sift operations copy
-//     small POD values and trigger no GC write barriers.
+//     small POD values and trigger no GC write barriers. Heap payloads (the
+//     closure / resource pointers) live by value in a reusable arena slab
+//     with a free list, so scheduling never allocates (the old kernel paid
+//     one *event allocation plus `any` boxing per container/heap Push/Pop).
 //   - Same-instant wakeups (at == Engine.now, the Resource grant fast path)
-//     bypass the heap entirely through a FIFO ring of laneItems.
+//     bypass the heap entirely through a FIFO ring, the lane.
+//   - Each fixed delay registered with Engine.NewDelay owns a FIFO ring of
+//     its own: events scheduled at now+d for one constant d (a network hop,
+//     a think time) bypass the heap too.
+//
+// FIFO entries never move once queued, so they carry their payload inline
+// in the ring slot; only heap items pay the arena indirection.
 //
 // Ordering invariant: events fire in strictly increasing (at, seq) order.
 // seq values are unique and assigned in scheduling order, so the order is
 // total and same-instant events fire in scheduling order (stable). The lane
 // holds only events with at == Engine.now appended in seq order, so it is
-// itself (at, seq)-sorted; the run loop merges lane and heap by comparing
-// their heads, which reproduces the exact pop sequence of a single (at, seq)
-// heap — proven against a reference container/heap kernel by the
-// equivalence and fuzz suites in this package.
+// itself (at, seq)-sorted. A delay queue is sorted for the same reason: the
+// clock never goes backwards and IEEE addition is monotonic, so now+d never
+// decreases from one push to the next while seq strictly increases. The run
+// loop merges the lane, the heap and every delay queue by comparing their
+// heads, which reproduces the exact pop sequence of a single (at, seq) heap
+// — proven against a reference container/heap kernel by the equivalence
+// and fuzz suites in this package.
 
 // eventKind selects how the run loop executes an event. Beyond plain
 // closures the kernel knows Resource grants and the two halves of
@@ -35,7 +43,8 @@ const (
 	evUseEnd                    // service done: release res, then call fn
 )
 
-// event is one scheduled occurrence's payload, stored by value in the arena.
+// event is one scheduled occurrence's payload, stored by value in an arena
+// slot (heap events) or inline in a FIFO ring slot (lane and delay queues).
 // Grant events carry their wait-time contribution precomputed at dispatch —
 // the grant fires on the dispatch instant, so the value is identical — but
 // the acquires/totalWait counters are only bumped when the grant actually
@@ -59,7 +68,20 @@ type heapItem struct {
 // laneItem is a same-instant event in the FIFO lane; its at is Engine.now.
 type laneItem struct {
 	seq uint64
-	idx int32
+	ev  event
+}
+
+// delayItem is an event in a fixed-delay FIFO queue.
+type delayItem struct {
+	at  float64
+	seq uint64
+	ev  event
+}
+
+// delayQueue is the FIFO of one delay registered with Engine.NewDelay.
+type delayQueue struct {
+	d float64
+	q ring[delayItem]
 }
 
 // alloc places ev in an arena slot and returns its index.
@@ -157,11 +179,11 @@ func (e *Engine) siftDown(it heapItem) {
 	h[i] = it
 }
 
-// ring is a growable power-of-two FIFO ring buffer. It replaces both the
+// ring is a growable power-of-two FIFO ring buffer. It replaces the
 // head-slicing Resource queue (r.queue = r.queue[1:], which copied on
 // append and pinned the backing array) and backs the engine's same-instant
-// lane. Indexing is a mask, not a modulo; pop zeroes the vacated slot so
-// drained entries don't pin their closures.
+// lane and fixed-delay queues. Indexing is a mask, not a modulo; drop
+// zeroes the vacated slot so drained entries don't pin their closures.
 type ring[T any] struct {
 	buf  []T
 	head int
@@ -174,25 +196,40 @@ func (r *ring[T]) len() int { return r.n }
 // unannotated by design.
 //
 //stellar:hotpath
-func (r *ring[T]) push(v T) {
+func (r *ring[T]) push(v T) { *r.put() = v }
+
+// put appends a slot and returns it for the caller to fill in place, which
+// spares large elements (the engine's inline event payloads) a copy
+// through a by-value argument. The pointer is valid until the next put.
+//
+//stellar:hotpath
+func (r *ring[T]) put() *T {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	p := &r.buf[(r.head+r.n)&(len(r.buf)-1)]
 	r.n++
+	return p
 }
 
 //stellar:hotpath
 func (r *ring[T]) pop() T {
+	v := *r.peek()
+	r.drop()
+	return v
+}
+
+// drop removes the oldest element, zeroing its slot.
+//
+//stellar:hotpath
+func (r *ring[T]) drop() {
 	if r.n == 0 {
 		panic("sim: pop from empty ring")
 	}
 	var zero T
-	v := r.buf[r.head]
 	r.buf[r.head] = zero
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
-	return v
 }
 
 // peek returns a pointer to the oldest element, which must exist.

@@ -75,3 +75,37 @@ func TestResetDiscardsPendingEvents(t *testing.T) {
 		t.Fatalf("post-reset run broken: wall=%g ran=%v", wall, ran)
 	}
 }
+
+// TestResetReusesDelayQueues: Reset drops the registrations but keeps the
+// queues' ring buffers, so a recycled engine registers its delays and runs
+// a fixed-delay program again without allocating.
+func TestResetReusesDelayQueues(t *testing.T) {
+	e := NewEngine()
+	var hop, think Delay
+	n := 0
+	var step func()
+	step = func() {
+		n++
+		if n%64 != 0 {
+			e.AfterDelay(hop, step)
+		} else if n < 1024 {
+			e.AfterDelay(think, step)
+		}
+	}
+	run := func() {
+		e.Reset()
+		hop, think = e.NewDelay(6e-5), e.NewDelay(2e-6)
+		n = 0
+		for i := 0; i < 16; i++ {
+			e.AfterDelay(hop, step)
+		}
+		e.Run()
+	}
+	run() // grow the queues once
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Fatalf("recycled engine allocates %.1f per run with registered delays", allocs)
+	}
+	if e.Pending() != 0 || n < 1024 {
+		t.Fatalf("program did not drain: pending %d, steps %d", e.Pending(), n)
+	}
+}

@@ -7,15 +7,21 @@
 // passing completion callbacks through Resource.Acquire. This keeps a full
 // tuning run (hundreds of thousands of events) in the low milliseconds.
 //
-// The hot path is (near-)allocation-free: event payloads live in a reusable
-// arena, the time-ordered queue is a hand-rolled 4-ary min-heap of
-// pointer-free {at, seq, idx} records, same-instant wakeups go through a
-// FIFO fast lane instead of the heap, resource wait queues are ring
-// buffers, and the Acquire/Use grant paths record their bookkeeping in
-// waiter slots instead of capture closures. Event ordering is bit-identical
-// to the original container/heap kernel — strictly increasing (at, seq) —
-// which the equivalence and fuzz suites in this package assert against a
-// reference implementation.
+// The hot path is (near-)allocation-free and runs three kinds of queue:
+//
+//   - a hand-rolled 4-ary min-heap of pointer-free {at, seq, idx} records
+//     for arbitrary future instants, with payloads in a reusable arena;
+//   - a FIFO lane for same-instant wakeups (at == now);
+//   - one FIFO per fixed delay registered with NewDelay, for events
+//     scheduled a constant d ahead (AfterDelay): the clock never goes
+//     backwards and IEEE addition is monotonic, so now+d never decreases
+//     and the FIFO is already in (at, seq) order without a heap sift.
+//
+// Resource wait queues are ring buffers, and the Acquire/Use grant paths
+// record their bookkeeping in waiter slots instead of capture closures.
+// Event ordering is bit-identical to the original container/heap kernel —
+// strictly increasing (at, seq) — which the equivalence and fuzz suites in
+// this package assert against a reference implementation.
 package sim
 
 import (
@@ -32,14 +38,19 @@ type Engine struct {
 	seq uint64
 	// heap holds time-ordered future events; lane holds events scheduled at
 	// the current instant (at == now), which dominate real runs because
-	// every Resource grant is a same-instant wakeup. Lane entries are
-	// already (at, seq)-sorted, so the run loop merges the two queues by
-	// head comparison instead of paying a heap sift per same-instant event.
-	// Payloads live in arena slots recycled through free; see heap.go.
-	heap  []heapItem
-	lane  ring[laneItem]
-	arena []event
-	free  []int32
+	// every Resource grant is a same-instant wakeup; delays holds one FIFO
+	// per registered fixed delay, and first indexes the one with the least
+	// head (-1 when all are empty). Lane and delay-queue entries are
+	// already (at, seq)-sorted, so the run loop merges all queues by head
+	// comparison instead of paying a heap sift per event. Heap payloads
+	// live in arena slots recycled through free; FIFO payloads sit inline
+	// in their ring slots. See heap.go.
+	heap   []heapItem
+	lane   ring[laneItem]
+	delays []delayQueue
+	first  int
+	arena  []event
+	free   []int32
 
 	fired   uint64
 	stopped bool
@@ -47,7 +58,7 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{first: -1}
 }
 
 // Now returns the current simulated time in seconds.
@@ -87,6 +98,79 @@ func (e *Engine) After(d float64, fn func()) {
 	e.schedule(e.now+d, event{kind: evFire, fn: fn})
 }
 
+// Delay is a fixed delay registered with NewDelay. It is valid on the
+// engine that issued it until that engine's next Reset.
+type Delay struct{ i int32 }
+
+// NewDelay registers a fixed delay of d seconds and returns its handle for
+// AfterDelay. Events scheduled through one handle queue in a FIFO of their
+// own instead of the heap. Negative or non-finite d panics.
+func (e *Engine) NewDelay(d float64) Delay {
+	if !(d >= 0 && d <= math.MaxFloat64) {
+		panic(fmt.Sprintf("sim: negative or non-finite delay %g", d))
+	}
+	// Reset keeps the queues past len, so a recycled engine re-registers
+	// into its old ring buffers without allocating.
+	n := len(e.delays)
+	if n < cap(e.delays) {
+		e.delays = e.delays[:n+1]
+	} else {
+		e.delays = append(e.delays, delayQueue{})
+	}
+	e.delays[n].d = d
+	return Delay{int32(n)}
+}
+
+// AfterDelay schedules fn to run after the fixed delay d, exactly as
+// After(d's seconds, fn) would: same instant, same sequence number, same
+// panic on a non-finite instant. Only the queue differs.
+//
+//stellar:hotpath
+func (e *Engine) AfterDelay(d Delay, fn func()) {
+	q := &e.delays[d.i]
+	t := e.now + q.d
+	if !(t <= math.MaxFloat64) {
+		panic(fmt.Sprintf("sim: scheduling at non-finite time %g", t))
+	}
+	e.seq++
+	if t == e.now {
+		it := e.lane.put()
+		it.seq, it.ev = e.seq, event{kind: evFire, fn: fn}
+		return
+	}
+	// A push behind an existing head changes no head. Onto an empty queue
+	// it becomes the least head if it is earlier than the current one: it
+	// carries the highest seq yet, so it can win on at alone.
+	if q.q.n == 0 && (e.first < 0 || t < e.delays[e.first].q.peek().at) {
+		e.first = int(d.i)
+	}
+	it := q.q.put()
+	it.at, it.seq, it.ev = t, e.seq, event{kind: evFire, fn: fn}
+}
+
+// popDelay removes the least delay-queue head, advances the clock to its
+// instant, finds the next least head, and returns the payload.
+//
+//stellar:hotpath
+func (e *Engine) popDelay() event {
+	q := &e.delays[e.first].q
+	it := q.peek()
+	e.now = it.at
+	ev := it.ev
+	q.drop()
+	e.first = -1
+	var at float64
+	var seq uint64
+	for i := range e.delays {
+		if q := &e.delays[i].q; q.n > 0 {
+			if h := q.peek(); e.first < 0 || h.at < at || (h.at == at && h.seq < seq) {
+				e.first, at, seq = i, h.at, h.seq
+			}
+		}
+	}
+	return ev
+}
+
 // schedule stamps the event with the next sequence number and enqueues it:
 // the FIFO lane when it lands on the current instant, the heap otherwise.
 //
@@ -101,11 +185,11 @@ func (e *Engine) schedule(t float64, ev event) {
 		panic(fmt.Sprintf("sim: scheduling into the past: t=%g now=%g", t, e.now))
 	}
 	e.seq++
-	idx := e.alloc(ev)
 	if t == e.now {
-		e.lane.push(laneItem{seq: e.seq, idx: idx})
+		it := e.lane.put()
+		it.seq, it.ev = e.seq, ev
 	} else {
-		e.heapPush(heapItem{at: t, seq: e.seq, idx: idx})
+		e.heapPush(heapItem{at: t, seq: e.seq, idx: e.alloc(ev)})
 	}
 }
 
@@ -115,7 +199,8 @@ func (e *Engine) schedule(t float64, ev event) {
 //stellar:hotpath
 func (e *Engine) scheduleNow(ev event) {
 	e.seq++
-	e.lane.push(laneItem{seq: e.seq, idx: e.alloc(ev)})
+	it := e.lane.put()
+	it.seq, it.ev = e.seq, ev
 }
 
 // afterDelay is After for internal kernel events; it applies After's
@@ -134,10 +219,11 @@ func (e *Engine) afterDelay(d float64, ev event) {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Reset returns the engine to its initial state — clock at zero, no pending
-// events — while keeping the heap, lane, arena, and free-list capacity, so a
-// pooled engine reaches an allocation-free steady state across runs. Pending
-// events of an aborted run are discarded; their arena slots are zeroed so
-// abandoned closures and resources are not pinned.
+// events, no registered delays — while keeping the heap, lane, delay-queue,
+// arena, and free-list capacity, so a pooled engine reaches an
+// allocation-free steady state across runs. Pending events of an aborted
+// run are discarded; their slots are zeroed so abandoned closures and
+// resources are not pinned.
 func (e *Engine) Reset() {
 	for i := range e.arena {
 		e.arena[i] = event{}
@@ -146,6 +232,11 @@ func (e *Engine) Reset() {
 	e.free = e.free[:0]
 	e.heap = e.heap[:0]
 	e.lane.reset()
+	for i := range e.delays {
+		e.delays[i].q.reset()
+	}
+	e.delays = e.delays[:0]
+	e.first = -1
 	e.now = 0
 	e.seq = 0
 	e.fired = 0
@@ -187,7 +278,7 @@ func (e *Engine) RunContext(ctx context.Context, checkEvery uint64) (float64, er
 	// starts at zero so the context is polled before the first event, as
 	// the modulo did at fired == 0.
 	var countdown uint64
-	for (e.lane.n > 0 || len(e.heap) > 0) && !e.stopped {
+	for (e.lane.n > 0 || len(e.heap) > 0 || e.first >= 0) && !e.stopped {
 		if countdown == 0 {
 			if err := ctx.Err(); err != nil {
 				return e.now, err
@@ -195,20 +286,34 @@ func (e *Engine) RunContext(ctx context.Context, checkEvery uint64) (float64, er
 			countdown = checkEvery
 		}
 		countdown--
-		// Merge the two queues on (at, seq). Lane entries sit at the
-		// current instant, so the heap head loses whenever it is in the
-		// future; on a time tie the lower sequence number fires first.
-		var idx int32
-		if e.lane.n > 0 && (len(e.heap) == 0 ||
-			e.heap[0].at > e.now || e.lane.peek().seq < e.heap[0].seq) {
-			idx = e.lane.pop().idx
-		} else {
+		// Merge the queues on (at, seq). First the least timed head, the
+		// heap's or the least delay queue's (+Inf when both are empty:
+		// nothing is ever scheduled there). Lane entries sit at the
+		// current instant, so the timed head loses to the lane whenever it
+		// is in the future; on a time tie the lower sequence number fires
+		// first.
+		fromHeap, at, seq := true, math.Inf(1), uint64(0)
+		if len(e.heap) > 0 {
+			at, seq = e.heap[0].at, e.heap[0].seq
+		}
+		if e.first >= 0 {
+			if h := e.delays[e.first].q.peek(); h.at < at || (h.at == at && h.seq < seq) {
+				fromHeap, at, seq = false, h.at, h.seq
+			}
+		}
+		var ev event
+		switch {
+		case e.lane.n > 0 && (at > e.now || e.lane.peek().seq < seq):
+			ev = e.lane.peek().ev
+			e.lane.drop()
+		case fromHeap:
 			it := e.heapPop()
 			e.now = it.at
-			idx = it.idx
+			ev = e.take(it.idx)
+		default:
+			ev = e.popDelay()
 		}
 		e.fired++
-		ev := e.take(idx)
 		switch ev.kind {
 		case evFire:
 			ev.fn()
@@ -236,7 +341,13 @@ func (e *Engine) RunContext(ctx context.Context, checkEvery uint64) (float64, er
 func (e *Engine) noteFired(start uint64) { totalFired.Add(e.fired - start) }
 
 // Pending reports the number of events still queued.
-func (e *Engine) Pending() int { return len(e.heap) + e.lane.len() }
+func (e *Engine) Pending() int {
+	n := len(e.heap) + e.lane.len()
+	for i := range e.delays {
+		n += e.delays[i].q.len()
+	}
+	return n
+}
 
 // waiterKind tells dispatch what to schedule at the grant instant.
 type waiterKind uint8
@@ -453,39 +564,3 @@ func (g *Gate) Stats() Stats { return g.res.Stats() }
 
 // Finalize closes the utilization accounting interval; see Resource.Finalize.
 func (g *Gate) Finalize() { g.res.Finalize() }
-
-// WaitGroup counts outstanding asynchronous operations inside the
-// simulation and fires a callback when the count returns to zero.
-type WaitGroup struct {
-	n    int
-	done func()
-}
-
-// Add increments the outstanding count.
-func (w *WaitGroup) Add(n int) { w.n += n }
-
-// Done decrements the count, firing the registered callback at zero.
-func (w *WaitGroup) Done() {
-	w.n--
-	if w.n < 0 {
-		panic("sim: WaitGroup underflow")
-	}
-	if w.n == 0 && w.done != nil {
-		f := w.done
-		w.done = nil
-		f()
-	}
-}
-
-// Wait registers fn to run when the count reaches zero. If the count is
-// already zero fn runs immediately.
-func (w *WaitGroup) Wait(fn func()) {
-	if w.n == 0 {
-		fn()
-		return
-	}
-	if w.done != nil {
-		panic("sim: WaitGroup already has a waiter")
-	}
-	w.done = fn
-}

@@ -106,6 +106,78 @@ func TestEngineNonFiniteSchedulingPanics(t *testing.T) {
 	}
 }
 
+// TestDelayRegistration: each handle schedules at its own delay, and a
+// zero delay lands on the current instant like After(0).
+func TestDelayRegistration(t *testing.T) {
+	e := NewEngine()
+	a, b, z := e.NewDelay(0.5), e.NewDelay(0.25), e.NewDelay(0)
+	var got []float64
+	rec := func() { got = append(got, e.Now()) }
+	e.At(1, func() {
+		e.AfterDelay(a, rec)
+		e.AfterDelay(b, rec)
+		e.AfterDelay(z, rec)
+	})
+	if end := e.Run(); end != 1.5 {
+		t.Fatalf("end = %g, want 1.5", end)
+	}
+	if want := []float64{1, 1.25, 1.5}; len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Fatalf("fire times = %v, want %v", got, want)
+	}
+}
+
+// TestDelayPanics: a delay After would reject cannot be registered, and a
+// fixed delay that carries the clock past the largest float panics at
+// scheduling with After's message.
+func TestDelayPanics(t *testing.T) {
+	for _, d := range []float64{-1, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewDelay(%g) did not panic", d)
+				}
+			}()
+			NewEngine().NewDelay(d)
+		}()
+	}
+	e := NewEngine()
+	big := e.NewDelay(math.MaxFloat64)
+	var msg any
+	e.At(math.MaxFloat64/2, func() {
+		defer func() { msg = recover() }()
+		e.AfterDelay(big, func() {})
+	})
+	e.Run()
+	if msg != "sim: scheduling at non-finite time +Inf" {
+		t.Fatalf("overflowing AfterDelay: recovered %v", msg)
+	}
+}
+
+// TestDelayStopResume: delay-queue entries count as pending across Stop
+// and fire on the next Run.
+func TestDelayStopResume(t *testing.T) {
+	e := NewEngine()
+	d := e.NewDelay(1)
+	n := 0
+	for i := 0; i < 4; i++ {
+		e.At(float64(i)/4, func() {
+			e.AfterDelay(d, func() {
+				n++
+				if n == 2 {
+					e.Stop()
+				}
+			})
+		})
+	}
+	e.Run()
+	if n != 2 || e.Pending() != 2 {
+		t.Fatalf("after Stop: fired %d, pending %d; want 2, 2", n, e.Pending())
+	}
+	if end := e.Run(); n != 4 || end != 1.75 || e.Pending() != 0 {
+		t.Fatalf("after resume: fired %d, end %g, pending %d", n, end, e.Pending())
+	}
+}
+
 func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	n := 0
@@ -333,33 +405,6 @@ func TestGateWindow(t *testing.T) {
 	}
 	if end != 4 {
 		t.Fatalf("8 jobs, window 2, 1s each: end = %g, want 4", end)
-	}
-}
-
-func TestWaitGroup(t *testing.T) {
-	e := NewEngine()
-	var wg WaitGroup
-	fired := false
-	wg.Add(3)
-	for i := 1; i <= 3; i++ {
-		e.At(float64(i), wg.Done)
-	}
-	wg.Wait(func() { fired = true })
-	e.Run()
-	if !fired {
-		t.Fatal("waitgroup callback did not fire")
-	}
-	if e.Now() != 3 {
-		t.Fatalf("fired at %g", e.Now())
-	}
-}
-
-func TestWaitGroupImmediate(t *testing.T) {
-	var wg WaitGroup
-	fired := false
-	wg.Wait(func() { fired = true })
-	if !fired {
-		t.Fatal("empty waitgroup should fire immediately")
 	}
 }
 

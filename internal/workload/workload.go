@@ -11,6 +11,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -123,6 +124,11 @@ func (w *Workload) Validate() error {
 	// error here, not as a meaningless 0-second measurement downstream.
 	if w.TotalOps() == 0 {
 		return fmt.Errorf("workload %s: empty op streams (scale %g left no operations)", w.Name, w.Scale)
+	}
+	// Written so NaN fails it: a NaN or negative think time would pass
+	// and then panic in the simulator's scheduler mid-run.
+	if !(w.ComputePerOp >= 0 && w.ComputePerOp <= math.MaxFloat64) {
+		return fmt.Errorf("workload %s: ComputePerOp must be finite and non-negative, got %g", w.Name, w.ComputePerOp)
 	}
 	for ri, ops := range w.Ranks {
 		for oi, op := range ops {
