@@ -1,5 +1,5 @@
 // Command stellar-vet runs the repository's custom static analyzers — the
-// determinism, hot-path, context-flow, and lock-discipline contracts — over
+// determinism, hot-path, context-flow, lock-discipline and dead-code contracts — over
 // the packages matching the given patterns.
 //
 // Usage:
@@ -11,66 +11,22 @@
 // Findings print as file:line:col: message (analyzer), one per line, and a
 // non-empty report exits 1 so the lint job fails before staticcheck runs.
 //
-// The binary also cooperates with `go vet -vettool=$(which stellar-vet)`:
-// when invoked the way cmd/go invokes vet tools (a single *.cfg argument,
-// plus -V=full for version fingerprinting), it switches to unitchecker
-// behavior — analyze the one package described by the config, report to
-// stderr, exit 2 on findings. Standalone mode is the supported entry point;
-// the vettool mode exists so the suite can slot into editor integrations
-// that only speak `go vet`.
+// deadcode is a whole-module check: it runs only when the patterns are the
+// default "./..." from the module root, and then the modules nested in the
+// root's subdirectories (perfbench) are loaded too, as callers it must see.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"stellar/internal/analysis"
 )
 
-// selfID fingerprints the running binary for go vet's -V=full probe. cmd/go
-// requires a devel version line to end in an actionID/contentID pair; using
-// the binary's own hash for both halves keys vet's cache to this exact build.
-func selfID() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "stellar-vet-devel/stellar-vet-devel"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "stellar-vet-devel/stellar-vet-devel"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "stellar-vet-devel/stellar-vet-devel"
-	}
-	sum := fmt.Sprintf("%x", h.Sum(nil))[:24]
-	return sum + "/" + sum
-}
-
 func main() {
-	// go vet probes tools twice before handing them a config: -V=full for
-	// a build-cache fingerprint, and -flags for the JSON list of flags it
-	// may forward (none here). A devel version line must carry a buildID
-	// field; hashing our own binary gives one that changes exactly when
-	// the analyzers do, so go vet's result caching stays correct.
-	if len(os.Args) == 2 && strings.HasPrefix(os.Args[1], "-V") {
-		fmt.Printf("stellar-vet version devel buildID=%s\n", selfID())
-		return
-	}
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-	if len(os.Args) == 2 && strings.HasSuffix(os.Args[1], ".cfg") {
-		os.Exit(runVettool(os.Args[1]))
-	}
-
 	var (
 		run  = flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 		list = flag.Bool("list", false, "list analyzers and exit")
@@ -114,6 +70,30 @@ func main() {
 		fmt.Fprintf(os.Stderr, "stellar-vet: %v\n", err)
 		os.Exit(2)
 	}
+	if _, err := os.Stat("go.mod"); err == nil && len(patterns) == 1 && patterns[0] == "./..." {
+		nested, _ := filepath.Glob(filepath.Join(cwd, "*", "go.mod"))
+		for _, gomod := range nested {
+			extra, err := analysis.LoadModule(filepath.Dir(gomod), "./...")
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "stellar-vet: %v\n", err)
+				os.Exit(2)
+			}
+			for _, p := range extra {
+				p.Extra = true
+			}
+			pkgs = append(pkgs, extra...)
+		}
+	} else {
+		// Over part of the module, callers outside it are not loaded and
+		// every function they call would read as dead.
+		var perPackage []*analysis.Analyzer
+		for _, a := range suite {
+			if a.RunModule == nil {
+				perPackage = append(perPackage, a)
+			}
+		}
+		suite = perPackage
+	}
 	diags, err := analysis.RunAnalyzers(pkgs, suite)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "stellar-vet: %v\n", err)
@@ -126,63 +106,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "stellar-vet: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
-}
-
-// vetConfig is the subset of the unitchecker config cmd/go writes for vet
-// tools.
-type vetConfig struct {
-	ImportPath  string
-	GoFiles     []string
-	PackageFile map[string]string
-	VetxOutput  string
-}
-
-// runVettool analyzes the single package described by a go-vet config file.
-func runVettool(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "stellar-vet: reading vet config: %v\n", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "stellar-vet: parsing vet config: %v\n", err)
-		return 1
-	}
-	// go vet hands the tool every package in the build graph, stdlib and
-	// all; the contracts only bind this module, so pass everything else
-	// through untouched (the facts file must still be written below).
-	if cfg.ImportPath != "stellar" && !strings.HasPrefix(cfg.ImportPath, "stellar/") {
-		if cfg.VetxOutput != "" {
-			if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-				fmt.Fprintf(os.Stderr, "stellar-vet: %v\n", err)
-				return 1
-			}
-		}
-		return 0
-	}
-	pkg, err := analysis.LoadVetUnit(cfg.ImportPath, cfg.GoFiles, cfg.PackageFile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "stellar-vet: %v\n", err)
-		return 1
-	}
-	diags, err := analysis.RunAnalyzers([]*analysis.Package{pkg}, analysis.All())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "stellar-vet: %v\n", err)
-		return 1
-	}
-	// cmd/go expects the facts file to exist even when a tool computes none.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "stellar-vet: %v\n", err)
-			return 1
-		}
-	}
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d.String())
-	}
-	if len(diags) > 0 {
-		return 2 // the exit code go vet treats as "diagnostics reported"
-	}
-	return 0
 }

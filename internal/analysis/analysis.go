@@ -14,7 +14,7 @@
 // go/types and the stdlib gc importer — the same pipeline a unitchecker
 // driver would use, minus the dependency.
 //
-// Four analyzers ship today:
+// Five analyzers ship today:
 //
 //   - detdrift: determinism-critical packages must not consult wall clocks,
 //     the global math/rand generator, or unordered map iteration, and must
@@ -25,6 +25,9 @@
 //     context.Background/TODO stay confined to cmd packages.
 //   - lockhold: no channel operations, pool.Queue calls, or file/network
 //     I/O while a runcache shard mutex or server jobs mutex is held.
+//   - deadcode: every function and method is reachable from a main, an
+//     init, a package-level var, a nested module, or an interface it
+//     satisfies. It is the one whole-module analyzer.
 //
 // Annotations are magic comments with the prefix "//stellar:"; see
 // annotations.go. Run the suite with `go run ./cmd/stellar-vet ./...`.
@@ -42,10 +45,13 @@ import (
 // Analyzer is one named static check. The shape deliberately matches
 // golang.org/x/tools/go/analysis.Analyzer so the checks could migrate to a
 // real multichecker without edits beyond the import path.
+// A whole-module analyzer sets RunModule instead of Run; it runs once over
+// every loaded package.
 type Analyzer struct {
-	Name string
-	Doc  string
-	Run  func(*Pass) error
+	Name      string
+	Doc       string
+	Run       func(*Pass) error
+	RunModule func(*ModulePass) error
 }
 
 // Diagnostic is one finding, with its position already resolved so callers
@@ -67,6 +73,9 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+	// Extra marks a package of a nested module (perfbench): whole-module
+	// analyzers read its references, and nothing is reported in it.
+	Extra bool
 }
 
 // Pass carries one analyzer's view of one package.
@@ -82,24 +91,52 @@ type Pass struct {
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
+	report(p.diags, p.Analyzer, p.Fset, pos, format, args...)
+}
+
+// ModulePass carries a whole-module analyzer's view: every loaded package,
+// the nested modules' ones marked Extra.
+type ModulePass struct {
+	Analyzer *Analyzer
+	Pkgs     []*Package
+
+	diags *[]Diagnostic
+}
+
+// Reportf records a diagnostic at pos in pkg.
+func (p *ModulePass) Reportf(pkg *Package, pos token.Pos, format string, args ...any) {
+	report(p.diags, p.Analyzer, pkg.Fset, pos, format, args...)
+}
+
+func report(diags *[]Diagnostic, a *Analyzer, fset *token.FileSet, pos token.Pos, format string, args ...any) {
+	*diags = append(*diags, Diagnostic{
+		Pos:      fset.Position(pos),
+		Analyzer: a.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
 
 // All returns the full suite in the order CI runs it.
 func All() []*Analyzer {
-	return []*Analyzer{DetDrift, HotAlloc, CtxFlow, LockHold}
+	return []*Analyzer{DetDrift, HotAlloc, CtxFlow, LockHold, DeadCode}
 }
 
-// RunAnalyzers applies every analyzer to every package and returns the
-// findings sorted by position.
+// RunAnalyzers applies every analyzer to every package that is not Extra
+// (a whole-module analyzer to all of them at once) and returns the findings
+// sorted by position.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
+	for _, a := range analyzers {
+		if a.RunModule != nil {
+			if err := a.RunModule(&ModulePass{Analyzer: a, Pkgs: pkgs, diags: &diags}); err != nil {
+				return nil, fmt.Errorf("analysis: %s: %w", a.Name, err)
+			}
+			continue
+		}
+		for _, pkg := range pkgs {
+			if pkg.Extra {
+				continue
+			}
 			pass := &Pass{
 				Analyzer: a,
 				Fset:     pkg.Fset,

@@ -21,6 +21,11 @@ import (
 //	//stellar:allow-background
 //	    On a function's doc comment: permit context.Background()/TODO()
 //	    outside cmd packages — the documented convenience wrappers.
+//	//stellar:keep <reason>
+//	    On a function's doc comment: keep a function deadcode finds
+//	    unreachable, for the stated reason (for example, a test oracle
+//	    other packages' tests call). The reason is required, and deadcode
+//	    reports a keep on a function that is reachable anyway.
 //
 // An annotation may carry a trailing rationale after the marker, e.g.
 // "//stellar:order-independent single-entry map", which is encouraged.
@@ -44,16 +49,23 @@ func hasMarker(doc *ast.CommentGroup, name string) bool {
 // when the comment is not an annotation. A rationale may follow the marker
 // after whitespace.
 func markerName(c *ast.Comment) string {
+	name, _ := splitMarker(c)
+	return name
+}
+
+// splitMarker splits a //stellar:* comment into the annotation name and the
+// rationale after it; both are "" when the comment is not an annotation.
+func splitMarker(c *ast.Comment) (name, rationale string) {
 	text := strings.TrimPrefix(c.Text, "//")
 	text = strings.TrimSpace(text)
 	if !strings.HasPrefix(text, annPrefix) {
-		return ""
+		return "", ""
 	}
-	name := strings.TrimPrefix(text, annPrefix)
+	name = strings.TrimPrefix(text, annPrefix)
 	if i := strings.IndexAny(name, " \t"); i >= 0 {
-		name = name[:i]
+		name, rationale = name[:i], strings.TrimSpace(name[i:])
 	}
-	return name
+	return name, rationale
 }
 
 // markers collects every //stellar:<name> comment in the pass's files,

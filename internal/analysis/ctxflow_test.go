@@ -7,11 +7,5 @@ import "testing"
 // wrapper, an unexported blocking helper, a correctly-threaded Drain, and a
 // cmd package where everything is legal.
 func TestCtxFlow(t *testing.T) {
-	res, err := RunTest("testdata", CtxFlow, "flow/inner", "cmd/flowtool")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.OK() {
-		t.Fatal("\n" + res.String())
-	}
+	runTest(t, CtxFlow, "flow/inner", "cmd/flowtool")
 }

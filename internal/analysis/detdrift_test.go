@@ -8,11 +8,5 @@ import "testing"
 // The notdet package carries the same violations in a non-critical path and
 // must produce nothing.
 func TestDetDrift(t *testing.T) {
-	res, err := RunTest("testdata", DetDrift, "sim", "notdet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.OK() {
-		t.Fatal("\n" + res.String())
-	}
+	runTest(t, DetDrift, "sim", "notdet")
 }

@@ -6,11 +6,5 @@ import "testing"
 // functions, the cold-panic-path exemption, and the negative case: an
 // unannotated twin of a flagged function draws nothing.
 func TestHotAlloc(t *testing.T) {
-	res, err := RunTest("testdata", HotAlloc, "hot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.OK() {
-		t.Fatal("\n" + res.String())
-	}
+	runTest(t, HotAlloc, "hot")
 }

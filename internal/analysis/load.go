@@ -29,10 +29,12 @@ type listPackage struct {
 }
 
 // LoadModule loads and type-checks the packages matching patterns (e.g.
-// "./...") in the module rooted at or above dir. Dependencies — including
-// the standard library and intra-module imports — are resolved from
-// compiled export data produced by `go list -export`, so loading is fast
-// and needs no network. Test files are not included: the contracts the
+// "./...") in the module rooted at or above dir. Targets are checked in the
+// dependency order `go list -deps` prints, and an import of a target
+// already checked resolves to that package, so all targets share one
+// universe of types objects. Every other import, the standard library
+// included, is resolved from compiled export data produced by
+// `go list -export`, so loading is fast and needs no network. Test files are not included: the contracts the
 // analyzers enforce are about shipped simulation code, and tests
 // legitimately use wall clocks, ad-hoc goroutines, and context.Background.
 func LoadModule(dir string, patterns ...string) ([]*Package, error) {
@@ -76,12 +78,19 @@ func LoadModule(dir string, patterns ...string) ([]*Package, error) {
 	}
 
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
 		}
 		return os.Open(f)
+	})
+	checked := make(map[string]*types.Package)
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := checked[path]; ok {
+			return p, nil
+		}
+		return gc.Import(path)
 	})
 
 	var pkgs []*Package
@@ -98,120 +107,12 @@ func LoadModule(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, fmt.Errorf("analysis: type-checking %s: %w", p.ImportPath, err)
 		}
+		checked[p.ImportPath] = pkg
 		pkgs = append(pkgs, &Package{
 			Path: p.ImportPath, Fset: fset, Files: files, Types: pkg, Info: info,
 		})
 	}
 	return pkgs, nil
-}
-
-// LoadVetUnit loads one package the way `go vet -vettool` hands it to a
-// tool: an explicit file list plus a map from import path to export-data
-// file. cmd/go has already built every dependency, so this is pure parsing
-// and type-checking.
-func LoadVetUnit(importPath string, goFiles []string, packageFile map[string]string) (*Package, error) {
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, ok := packageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(f)
-	})
-	var files []*ast.File
-	for _, name := range goFiles {
-		if strings.HasSuffix(name, "_test.go") {
-			continue // same shipped-code scope as LoadModule
-		}
-		af, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: %w", err)
-		}
-		files = append(files, af)
-	}
-	pkg, info, err := typeCheck(importPath, fset, files, imp)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: type-checking %s: %w", importPath, err)
-	}
-	return &Package{Path: importPath, Fset: fset, Files: files, Types: pkg, Info: info}, nil
-}
-
-// srcLoader loads GOPATH-style source trees (testdata/src/<path>/*.go),
-// resolving imports first against sibling directories in the tree and then
-// against the standard library from source. It exists for analysistest
-// fixtures, which are not part of the module.
-type srcLoader struct {
-	srcDir string
-	fset   *token.FileSet
-	std    types.Importer
-	cache  map[string]*Package
-	stack  map[string]bool // import cycle guard
-}
-
-// LoadTestdata loads the named package paths from dir/src (the analysistest
-// layout). All packages share one FileSet.
-func LoadTestdata(dir string, paths ...string) ([]*Package, error) {
-	fset := token.NewFileSet()
-	l := &srcLoader{
-		srcDir: filepath.Join(dir, "src"),
-		fset:   fset,
-		std:    importer.ForCompiler(fset, "source", nil),
-		cache:  make(map[string]*Package),
-		stack:  make(map[string]bool),
-	}
-	var pkgs []*Package
-	for _, path := range paths {
-		p, err := l.load(path)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, p)
-	}
-	return pkgs, nil
-}
-
-func (l *srcLoader) load(path string) (*Package, error) {
-	if p, ok := l.cache[path]; ok {
-		return p, nil
-	}
-	if l.stack[path] {
-		return nil, fmt.Errorf("analysis: import cycle through %q", path)
-	}
-	l.stack[path] = true
-	defer delete(l.stack, path)
-
-	dir := filepath.Join(l.srcDir, filepath.FromSlash(path))
-	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil || len(names) == 0 {
-		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
-	}
-	var files []*ast.File
-	for _, name := range names {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		af, err := parser.ParseFile(l.fset, name, nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: %w", err)
-		}
-		files = append(files, af)
-	}
-	pkg, info, err := typeCheck(path, l.fset, files, importerFunc(func(ipath string) (*types.Package, error) {
-		if st, err := os.Stat(filepath.Join(l.srcDir, filepath.FromSlash(ipath))); err == nil && st.IsDir() {
-			p, err := l.load(ipath)
-			if err != nil {
-				return nil, err
-			}
-			return p.Types, nil
-		}
-		return l.std.Import(ipath)
-	}))
-	if err != nil {
-		return nil, fmt.Errorf("analysis: type-checking %s: %w", path, err)
-	}
-	p := &Package{Path: path, Fset: l.fset, Files: files, Types: pkg, Info: info}
-	l.cache[path] = p
-	return p, nil
 }
 
 type importerFunc func(string) (*types.Package, error)

@@ -6,11 +6,5 @@ import "testing"
 // runcache/server mutexes — including deferred unlocks and an early-unlock
 // branch — plus the snapshot-then-communicate shapes that must stay silent.
 func TestLockHold(t *testing.T) {
-	res, err := RunTest("testdata", LockHold, "runcache", "server")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.OK() {
-		t.Fatal("\n" + res.String())
-	}
+	runTest(t, LockHold, "runcache", "server")
 }

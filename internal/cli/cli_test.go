@@ -84,7 +84,7 @@ func TestBuildCacheDirImpliesCache(t *testing.T) {
 	if cache == nil || plat.Name() != "cache(sim)" {
 		t.Fatalf("platform = %q cache = %v, want cache(sim) with a cache", plat.Name(), cache)
 	}
-	if !cache.Persistent() {
+	if !cache.Stats().Persisted {
 		t.Fatal("cache built from -cache-dir is not persistent")
 	}
 }

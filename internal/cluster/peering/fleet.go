@@ -170,12 +170,6 @@ func New(self string, peers []string, local platform.Platform) (*Fleet, error) {
 // Name implements platform.Platform.
 func (f *Fleet) Name() string { return "peers(" + f.local.Name() + ")" }
 
-// Ring exposes the membership ring (ownership checks in tests and stats).
-func (f *Fleet) Ring() *Ring { return f.ring }
-
-// Self returns this node's advertised address.
-func (f *Fleet) Self() string { return f.self }
-
 // MarkServed counts one run executed on behalf of a remote forwarder; the
 // owner-side HTTP handler calls it.
 func (f *Fleet) MarkServed() { f.served.Add(1) }

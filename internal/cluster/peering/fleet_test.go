@@ -56,7 +56,7 @@ func specOwnedBy(t *testing.T, f *Fleet, want string) platform.RunSpec {
 	t.Helper()
 	for seed := int64(1); seed < 64; seed++ {
 		spec := testSpec(t, seed)
-		if f.Ring().Owner(spec.Key()) == want {
+		if f.ring.Owner(spec.Key()) == want {
 			return spec
 		}
 	}

@@ -50,16 +50,6 @@ func (r *Ring) Members() []string { return append([]string(nil), r.members...) }
 // Len returns the member count.
 func (r *Ring) Len() int { return len(r.members) }
 
-// Contains reports whether m is a ring member.
-func (r *Ring) Contains(m string) bool {
-	for _, have := range r.members {
-		if have == m {
-			return true
-		}
-	}
-	return false
-}
-
 // Owner returns the member owning key, or "" for an empty ring. Ties go to
 // the lexicographically smallest member, so ownership is total and
 // deterministic across the fleet.

@@ -52,19 +52,3 @@ func (l *Log) Dump() string {
 	}
 	return b.String()
 }
-
-// Summary returns aggregate totals across all records of a module — the
-// one-paragraph answer tools like darshan-job-summary lead with.
-func (l *Log) Summary(module string) (opens, reads, writes int64, bytesRead, bytesWritten int64) {
-	for _, r := range l.Records {
-		if r.Module != module {
-			continue
-		}
-		opens += r.Opens
-		reads += r.Reads
-		writes += r.Writes
-		bytesRead += r.BytesRead
-		bytesWritten += r.BytesWritten
-	}
-	return
-}

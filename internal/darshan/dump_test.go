@@ -46,19 +46,3 @@ func TestDumpSharedRecordRank(t *testing.T) {
 		t.Fatal("shared record not marked rank -1")
 	}
 }
-
-func TestSummary(t *testing.T) {
-	w := workload.IOR(workload.IORSpec{
-		Ranks: 4, TransferSize: 1 << 20, BlockSize: 4 << 20, Blocks: 1,
-		ReadBack: true, Seed: 2,
-	}, 1.0)
-	log := collectFrom(t, w)
-	_, reads, writes, bytesRead, bytesWritten := log.Summary("POSIX")
-	wantRead, wantWritten := w.TotalBytes()
-	if bytesRead != wantRead || bytesWritten != wantWritten {
-		t.Fatalf("summary bytes = (%d,%d), want (%d,%d)", bytesRead, bytesWritten, wantRead, wantWritten)
-	}
-	if reads == 0 || writes == 0 {
-		t.Fatal("summary counts empty")
-	}
-}

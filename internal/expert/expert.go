@@ -25,12 +25,6 @@ func Config(reg *params.Registry, workloadName string) (params.Config, error) {
 	return base, nil
 }
 
-// Known reports whether an expert config exists for the workload.
-func Known(workloadName string) bool {
-	_, ok := overrides[workloadName]
-	return ok
-}
-
 var overrides = map[string]map[string]int64{
 	// Random 64 KiB accesses to a shared file: spread across all OSTs with
 	// fine stripes, deep RPC window for seek overlap, readahead off.

@@ -16,9 +16,6 @@ func TestConfigsExistAndValidate(t *testing.T) {
 	spec := cluster.Default()
 	env := params.SystemEnv(int64(spec.MemoryMBPerNode), int64(spec.OSTCount), nil)
 	for _, name := range append(workload.Benchmarks(), workload.RealApps()...) {
-		if !Known(name) {
-			t.Fatalf("no expert config for %s", name)
-		}
 		cfg, err := Config(reg, name)
 		if err != nil {
 			t.Fatal(err)

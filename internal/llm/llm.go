@@ -8,7 +8,6 @@ package llm
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -213,27 +212,6 @@ func (m *Meter) SessionRequests(session string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.requests[session]
-}
-
-// Sessions lists sessions with recorded usage, in sorted order.
-func (m *Meter) Sessions() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []string
-	for k := range m.totals {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Reset clears a session's cache lineage and statistics.
-func (m *Meter) Reset(session string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.lastSer, session)
-	delete(m.totals, session)
-	delete(m.requests, session)
 }
 
 func commonPrefix(a, b string) string {

@@ -68,22 +68,6 @@ func TestMeterAccumulatesAndCaches(t *testing.T) {
 	}
 }
 
-func TestMeterReset(t *testing.T) {
-	m := NewMeter(&echoClient{})
-	req := &Request{Messages: []Message{{Role: RoleUser, Content: "hello"}}}
-	if _, err := m.CompleteSession(context.Background(), "s", req); err != nil {
-		t.Fatal(err)
-	}
-	m.Reset("s")
-	if m.SessionRequests("s") != 0 {
-		t.Fatal("reset did not clear")
-	}
-	r, _ := m.CompleteSession(context.Background(), "s", req)
-	if r.Usage.CacheReadInputTokens != 0 {
-		t.Fatal("cache lineage survived reset")
-	}
-}
-
 func TestUsageHelpers(t *testing.T) {
 	u := Usage{InputTokens: 100, CacheReadInputTokens: 85}
 	if u.CacheHitRate() != 0.85 {

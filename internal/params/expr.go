@@ -104,39 +104,8 @@ func ParseExpr(src string) (*Expr, error) {
 	return &Expr{root: root, src: src}, nil
 }
 
-// MustParseExpr is ParseExpr that panics on error, for static registry data.
-func MustParseExpr(src string) *Expr {
-	e, err := ParseExpr(src)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 // Eval computes the expression value under env.
 func (e *Expr) Eval(env Env) (int64, error) { return e.root.eval(env) }
-
-// Idents returns the identifiers referenced by the expression, in first-use
-// order, which the tuner uses to resolve dependencies among parameters.
-func (e *Expr) Idents() []string {
-	var out []string
-	seen := map[string]bool{}
-	var walk func(node)
-	walk = func(n node) {
-		switch v := n.(type) {
-		case identNode:
-			if !seen[string(v)] {
-				seen[string(v)] = true
-				out = append(out, string(v))
-			}
-		case binNode:
-			walk(v.l)
-			walk(v.r)
-		}
-	}
-	walk(e.root)
-	return out
-}
 
 func lexExpr(src string) ([]string, error) {
 	var toks []string

@@ -130,13 +130,6 @@ func (r *Registry) Get(name string) (*Param, bool) {
 	return p, ok
 }
 
-// Names returns all parameter names in registry order.
-func (r *Registry) Names() []string {
-	out := make([]string, len(r.order))
-	copy(out, r.order)
-	return out
-}
-
 // All returns all parameters in registry order.
 func (r *Registry) All() []*Param {
 	out := make([]*Param, 0, len(r.order))
@@ -156,9 +149,6 @@ func (r *Registry) Writable() []*Param {
 	}
 	return out
 }
-
-// Len returns the number of registered parameters.
-func (r *Registry) Len() int { return len(r.order) }
 
 // Config is a full assignment of values to writable parameters. Values for
 // KindBool parameters are 0/1. Missing entries mean "default".
@@ -195,26 +185,6 @@ func (c Config) Names() []string {
 	out := make([]string, 0, len(c))
 	for k := range c {
 		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Diff lists parameters whose value differs between c and other (present in
-// either), sorted by name.
-func (c Config) Diff(other Config) []string {
-	seen := map[string]bool{}
-	var out []string
-	for k, v := range c {
-		if ov, ok := other[k]; !ok || ov != v {
-			out = append(out, k)
-		}
-		seen[k] = true
-	}
-	for k := range other {
-		if !seen[k] {
-			out = append(out, k)
-		}
 	}
 	sort.Strings(out)
 	return out

@@ -92,11 +92,8 @@ func (t *Tree) Apply(cfg params.Config) error {
 // Snapshot returns a copy of the current values.
 func (t *Tree) Snapshot() params.Config { return t.values.Clone() }
 
-// ResetDefaults restores all defaults (the between-runs hygiene protocol).
-func (t *Tree) ResetDefaults() { t.values = params.DefaultConfig(t.reg) }
-
 // SetDefaults restores all defaults in place, reusing the existing value
-// map. It leaves the tree in exactly the state New or ResetDefaults would —
+// map. It leaves the tree in exactly the state New would —
 // writable parameters at their defaults, nothing else present (Write only
 // ever adds writable names) — without allocating, which is what lets a
 // pooled tree serve repeated evaluations.

@@ -10,8 +10,8 @@ func TestListSortedAndComplete(t *testing.T) {
 	reg := params.Lustre()
 	tree := New(reg)
 	entries := tree.List()
-	if len(entries) != reg.Len() {
-		t.Fatalf("entries = %d, registry = %d", len(entries), reg.Len())
+	if len(entries) != len(reg.All()) {
+		t.Fatalf("entries = %d, registry = %d", len(entries), len(reg.All()))
 	}
 	for i := 1; i < len(entries); i++ {
 		if entries[i].Path < entries[i-1].Path {
@@ -57,7 +57,7 @@ func TestReadWriteApplyReset(t *testing.T) {
 	if snap["llite.statahead_max"] != 512 {
 		t.Fatal("apply did not take")
 	}
-	tree.ResetDefaults()
+	tree.SetDefaults()
 	if v, _ := tree.Read("llite.statahead_max"); v != "32" {
 		t.Fatalf("reset failed: %q", v)
 	}

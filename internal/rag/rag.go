@@ -168,9 +168,6 @@ func NewIndex(emb Embedder, chunks []Chunk) *Index {
 	return ix
 }
 
-// Len returns the number of indexed chunks.
-func (ix *Index) Len() int { return len(ix.chunks) }
-
 // Search returns the top-k chunks by cosine similarity to the query.
 func (ix *Index) Search(query string, k int) []Hit {
 	qv := ix.emb.Embed(query)

@@ -208,9 +208,6 @@ func NewWithOptions(inner platform.Platform, opts Options) *Cache {
 // Name implements platform.Platform.
 func (c *Cache) Name() string { return "cache(" + c.inner.Name() + ")" }
 
-// Persistent reports whether the cache writes through to a disk directory.
-func (c *Cache) Persistent() bool { return c.dir != "" }
-
 // shardFor maps a key to its shard by prefix. Keys are hex SHA-256, so the
 // first two hex digits reconstruct the digest's first byte — uniformly
 // distributed across shards.

@@ -82,7 +82,7 @@ func startCluster(t *testing.T, n int, opts Options) ([]string, []*Server, *atom
 // several times to every node triggers exactly one simulation per distinct
 // RunSpec cluster-wide, and every node returns the byte-identical body.
 func TestClusterSingleflight(t *testing.T) {
-	urls, servers, sims := startCluster(t, 3, Options{Workers: 4, Backlog: 32})
+	urls, _, sims := startCluster(t, 3, Options{Workers: 4, Backlog: 32})
 
 	const reps = 2
 	const dup = 3
@@ -132,8 +132,8 @@ func TestClusterSingleflight(t *testing.T) {
 		if st.Cluster == nil {
 			t.Fatalf("node %d stats have no cluster block: %s", i, data)
 		}
-		if st.Cluster.Self != servers[i].fleet.Self() {
-			t.Fatalf("node %d cluster.self = %q, want %q", i, st.Cluster.Self, servers[i].fleet.Self())
+		if self := strings.TrimPrefix(u, "http://"); st.Cluster.Self != self {
+			t.Fatalf("node %d cluster.self = %q, want %q", i, st.Cluster.Self, self)
 		}
 		if len(st.Cluster.Peers) != len(urls) {
 			t.Fatalf("node %d sees %d peers, want %d", i, len(st.Cluster.Peers), len(urls))

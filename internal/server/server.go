@@ -236,9 +236,6 @@ func New(opts Options) (*Server, error) {
 	}, nil
 }
 
-// Cache exposes the process-wide run cache (tests and stats reporting).
-func (s *Server) Cache() *runcache.Cache { return s.cache }
-
 // Platform returns the measurement stack requests execute on: the local
 // cache, or the peering fleet wrapped over it.
 func (s *Server) Platform() platform.Platform { return s.plat }

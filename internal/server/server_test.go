@@ -95,7 +95,7 @@ func TestConcurrentIdenticalEvaluates(t *testing.T) {
 			t.Fatalf("response %d differs:\n%s\nvs\n%s", i, bodies[i], bodies[0])
 		}
 	}
-	st := s.Cache().Stats()
+	st := s.cache.Stats()
 	if st.Misses != 1 {
 		t.Fatalf("backend executed %d runs, want exactly 1 (stats: %s)", st.Misses, st)
 	}
@@ -115,7 +115,7 @@ func TestEvaluateDistinctSeedsAreDistinctRuns(t *testing.T) {
 			t.Fatalf("seed %d: HTTP %d: %s", seed, resp.StatusCode, data)
 		}
 	}
-	if st := s.Cache().Stats(); st.Misses != 3 {
+	if st := s.cache.Stats(); st.Misses != 3 {
 		t.Fatalf("misses = %d, want 3 (stats: %s)", st.Misses, st)
 	}
 }
@@ -568,7 +568,7 @@ func TestSweepGridExpansion(t *testing.T) {
 	if footer2.Done != 4 || footer2.Cache.Misses != 0 || footer2.Cache.Hits != 4 {
 		t.Fatalf("repeated sweep delta = %+v", footer2.Cache)
 	}
-	if st := s.Cache().Stats(); st.Misses != 4 {
+	if st := s.cache.Stats(); st.Misses != 4 {
 		t.Fatalf("process-wide misses = %d, want 4 (%s)", st.Misses, st)
 	}
 
@@ -729,7 +729,7 @@ func TestWarmStartAcrossRestart(t *testing.T) {
 			}
 			bodies[i] = data
 		}
-		return bodies, s.Cache().Stats()
+		return bodies, s.cache.Stats()
 	}
 
 	first, coldStats := run()
@@ -778,7 +778,7 @@ func TestFaultedEvaluateDeterminismAcrossRestart(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("clean evaluate: HTTP %d: %s", resp.StatusCode, cb)
 		}
-		return fb, cb, s.Cache().Stats()
+		return fb, cb, s.cache.Stats()
 	}
 
 	fault1, clean1, cold := run()
@@ -1051,7 +1051,7 @@ func TestTuneSearchEndToEnd(t *testing.T) {
 			t.Fatalf("tune job view = %+v", j)
 		}
 	}
-	if st := s.Cache().Stats(); st.Misses != footer.Cache.Misses {
+	if st := s.cache.Stats(); st.Misses != footer.Cache.Misses {
 		t.Fatalf("process-wide misses %d != first-search misses %d", st.Misses, footer.Cache.Misses)
 	}
 }
@@ -1084,9 +1084,9 @@ func TestTuneRobustObjective(t *testing.T) {
 			len(footer.Winner.WallsSeconds), want, footer.Winner.Reps)
 	}
 
-	before := s.Cache().Stats()
+	before := s.cache.Stats()
 	header2, _, footer2 := tuneLines(t, ts.URL, body)
-	if delta := s.Cache().Stats().Delta(before); delta.Misses != 0 {
+	if delta := s.cache.Stats().Delta(before); delta.Misses != 0 {
 		t.Fatalf("repeated robust search missed the cache %d times, want 0", delta.Misses)
 	}
 	if header2.FaultVariants != header.FaultVariants {

@@ -216,6 +216,8 @@ func (e *Engine) afterDelay(d float64, ev event) {
 }
 
 // Stop aborts the run loop after the current event returns.
+//
+//stellar:keep an op of the refkernel equivalence program in this package's tests
 func (e *Engine) Stop() { e.stopped = true }
 
 // Reset returns the engine to its initial state — clock at zero, no pending
@@ -341,6 +343,8 @@ func (e *Engine) RunContext(ctx context.Context, checkEvery uint64) (float64, er
 func (e *Engine) noteFired(start uint64) { totalFired.Add(e.fired - start) }
 
 // Pending reports the number of events still queued.
+//
+//stellar:keep an op of the refkernel equivalence program in this package's tests
 func (e *Engine) Pending() int {
 	n := len(e.heap) + e.lane.len()
 	for i := range e.delays {
@@ -395,11 +399,10 @@ func NewResource(eng *Engine, name string, capacity int) *Resource {
 	return &Resource{eng: eng, name: name, capacity: capacity}
 }
 
-// Name returns the resource's diagnostic name.
-func (r *Resource) Name() string { return r.name }
-
 // SetCapacity grows or shrinks the server pool. Shrinking below the number
 // of busy servers is allowed; the pool drains naturally.
+//
+//stellar:keep an op of the refkernel equivalence program in this package's tests
 func (r *Resource) SetCapacity(c int) {
 	if c < 1 {
 		panic("sim: resource capacity must be >= 1: " + r.name)
@@ -420,6 +423,8 @@ func (r *Resource) accountBusy() {
 // when Stop fires) reflects the full run. Calling it more than once, or on
 // an idle resource, is harmless; Stats called before Finalize reports busy
 // time only up to the last state change, exactly as it always has.
+//
+//stellar:keep utilization accounting for the ROADMAP's explain-a-run view
 func (r *Resource) Finalize() { r.accountBusy() }
 
 // Acquire requests a server slot; got runs (as a scheduled event at the
@@ -490,6 +495,8 @@ type Stats struct {
 }
 
 // Stats returns the accumulated statistics.
+//
+//stellar:keep utilization accounting for the ROADMAP's explain-a-run view
 func (r *Resource) Stats() Stats {
 	s := Stats{Acquires: r.acquires, PeakQueue: r.queuedPeak, BusyTime: r.busyTime}
 	if r.acquires > 0 {
@@ -533,9 +540,13 @@ func (p *Pipe) Send(size float64, done func()) {
 }
 
 // Stats exposes the underlying resource statistics.
+//
+//stellar:keep utilization accounting for the ROADMAP's explain-a-run view
 func (p *Pipe) Stats() Stats { return p.res.Stats() }
 
 // Finalize closes the utilization accounting interval; see Resource.Finalize.
+//
+//stellar:keep utilization accounting for the ROADMAP's explain-a-run view
 func (p *Pipe) Finalize() { p.res.Finalize() }
 
 // Gate is a counting semaphore without service time — callers acquire
@@ -556,11 +567,12 @@ func (g *Gate) Enter(in func()) { g.res.Acquire(in) }
 // Leave releases a token.
 func (g *Gate) Leave() { g.res.Release() }
 
-// InFlight returns the number of tokens currently held.
-func (g *Gate) InFlight() int { return g.res.inUse }
-
 // Stats exposes gate queueing statistics.
+//
+//stellar:keep utilization accounting for the ROADMAP's explain-a-run view
 func (g *Gate) Stats() Stats { return g.res.Stats() }
 
 // Finalize closes the utilization accounting interval; see Resource.Finalize.
+//
+//stellar:keep utilization accounting for the ROADMAP's explain-a-run view
 func (g *Gate) Finalize() { g.res.Finalize() }

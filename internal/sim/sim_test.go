@@ -390,8 +390,8 @@ func TestGateWindow(t *testing.T) {
 	inFlightPeak := 0
 	launch := func() {
 		g.Enter(func() {
-			if g.InFlight() > inFlightPeak {
-				inFlightPeak = g.InFlight()
+			if g.res.inUse > inFlightPeak {
+				inFlightPeak = g.res.inUse
 			}
 			e.After(1, g.Leave)
 		})
@@ -446,7 +446,7 @@ func TestGateNeverExceedsWidthProperty(t *testing.T) {
 			hold := rng.Float64()
 			e.At(at, func() {
 				g.Enter(func() {
-					if g.InFlight() > w {
+					if g.res.inUse > w {
 						ok = false
 					}
 					e.After(hold, g.Leave)

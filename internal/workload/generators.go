@@ -554,6 +554,8 @@ func RealApps() []string {
 
 // Extras lists additional application kernels named in the paper's Figure 1
 // but not part of its evaluation figures.
+//
+//stellar:keep the catalog listing lustre's and workload's tests run
 func Extras() []string {
 	return []string{"E3SM", "H5Bench"}
 }

@@ -100,6 +100,8 @@ func (w *Workload) TotalOps() int {
 }
 
 // TotalBytes sums data op sizes by direction.
+//
+//stellar:keep the byte-count oracle the lustre, darshan and workload tests check against
 func (w *Workload) TotalBytes() (read, written int64) {
 	for _, r := range w.Ranks {
 		for _, op := range r {
