@@ -86,8 +86,8 @@ type Engine struct {
 	trees sync.Pool
 }
 
-// New creates an engine. client is the LLM backend (simllm offline, or an
-// httpllm client online); each run wraps it in its own Meter for cost
+// New creates an engine. client is the LLM backend (simllm offline, or any
+// other llm.Client); each run wraps it in its own Meter for cost
 // accounting.
 func New(client llm.Client, opts Options) *Engine {
 	if opts.Scale == 0 {

@@ -1,8 +1,8 @@
 // Package llm defines the provider-neutral chat/tool-calling interface
 // STELLAR's agents are built on, plus token accounting and prompt-cache
-// statistics (§5.7 of the paper). Backends: llm/simllm (deterministic
-// expert-policy models used offline) and llm/httpllm (OpenAI-compatible
-// wire client for real deployments).
+// statistics (§5.7 of the paper). The backend is llm/simllm: deterministic
+// expert-policy models that stand in for hosted models offline. A hosted
+// backend implements the same Client interface.
 package llm
 
 import (
@@ -84,8 +84,8 @@ type Response struct {
 
 // Client is the minimal completion interface agents depend on. Every
 // backend honours ctx: cancellation aborts the call promptly with ctx.Err()
-// (httpllm cancels the in-flight HTTP request; simllm checks before
-// answering), which is what lets a SIGINT unwind a whole tuning run.
+// (simllm checks before answering; a network backend would cancel its
+// in-flight request), which is what lets a SIGINT unwind a whole tuning run.
 // Implementations must be safe for concurrent use.
 type Client interface {
 	Complete(ctx context.Context, req *Request) (*Response, error)

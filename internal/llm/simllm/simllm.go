@@ -8,8 +8,8 @@
 //
 // The models are rule engines, not neural networks; DESIGN.md documents
 // this substitution. All agent-facing behaviour flows through the same
-// prompts and tool-call protocol a real endpoint would use, so swapping in
-// llm/httpllm changes nothing structurally.
+// prompts and tool-call protocol a real endpoint would use, so a hosted
+// backend behind llm.Client would change nothing structurally.
 package simllm
 
 import (

@@ -244,18 +244,21 @@ func TestInternalRunEndpoint(t *testing.T) {
 	}
 
 	// Same spec, wrong key: the owner must refuse rather than run under a
-	// name the forwarder will cache incorrectly.
-	bad := peering.NewForwardRequest(spec, internalSpec(t, 8).Key())
-	body, _ = json.Marshal(bad)
-	resp, data = post(t, urls[0]+peering.InternalRunPath, string(body))
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("key mismatch: HTTP %d, want 409: %s", resp.StatusCode, data)
-	}
+	// name the forwarder will cache incorrectly. A key shorter than the
+	// 12 characters the message quotes is refused the same way.
 	var e struct {
 		Error ErrorBody `json:"error"`
 	}
-	if err := json.Unmarshal(data, &e); err != nil || e.Error.Code != CodeKeyMismatch {
-		t.Fatalf("key mismatch code = %q, want %q: %s", e.Error.Code, CodeKeyMismatch, data)
+	for _, key := range []string{internalSpec(t, 8).Key(), "abc"} {
+		bad := peering.NewForwardRequest(spec, key)
+		body, _ = json.Marshal(bad)
+		resp, data = post(t, urls[0]+peering.InternalRunPath, string(body))
+		if resp.StatusCode != http.StatusConflict {
+			t.Fatalf("key %q mismatch: HTTP %d, want 409: %s", key, resp.StatusCode, data)
+		}
+		if err := json.Unmarshal(data, &e); err != nil || e.Error.Code != CodeKeyMismatch {
+			t.Fatalf("key %q mismatch code = %q, want %q: %s", key, e.Error.Code, CodeKeyMismatch, data)
+		}
 	}
 
 	// Unknown workload name in the compact form.

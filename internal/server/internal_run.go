@@ -50,7 +50,7 @@ func (s *Server) handleInternalRun(w http.ResponseWriter, r *http.Request) {
 	if key := spec.Key(); key != req.Key {
 		writeErrorDetails(w, http.StatusConflict, CodeKeyMismatch,
 			map[string]any{"forwarded": req.Key, "rebuilt": key},
-			"rebuilt spec hashes to %s, forwarder sent %s: nodes run divergent catalogs", key[:12], req.Key[:12])
+			"rebuilt spec hashes to %.12s, forwarder sent %.12s: nodes run divergent catalogs", key, req.Key)
 		return
 	}
 	s.fleet.MarkServed()

@@ -158,22 +158,21 @@ func (j *Job) terminal() bool {
 	return j.status == JobDone || j.status == JobFailed || j.status == JobCancelled
 }
 
+// maxJobs bounds the retained job registry.
+const maxJobs = 512
+
 // jobStore is the bounded in-memory job registry. IDs are sequential per
 // process; once the store exceeds maxJobs the oldest terminal jobs are
 // pruned (active jobs are never dropped).
 type jobStore struct {
-	mu      sync.Mutex
-	seq     int64
-	jobs    map[string]*Job
-	order   []*Job
-	maxJobs int
+	mu    sync.Mutex
+	seq   int64
+	jobs  map[string]*Job
+	order []*Job
 }
 
-func newJobStore(maxJobs int) *jobStore {
-	if maxJobs < 1 {
-		maxJobs = 512
-	}
-	return &jobStore{jobs: make(map[string]*Job), maxJobs: maxJobs}
+func newJobStore() *jobStore {
+	return &jobStore{jobs: make(map[string]*Job)}
 }
 
 func (s *jobStore) create(kind, target string) *Job {
@@ -189,9 +188,9 @@ func (s *jobStore) create(kind, target string) *Job {
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)
-	if len(s.order) > s.maxJobs {
+	if len(s.order) > maxJobs {
 		kept := s.order[:0]
-		excess := len(s.order) - s.maxJobs
+		excess := len(s.order) - maxJobs
 		for _, old := range s.order {
 			if excess > 0 && old.terminal() {
 				delete(s.jobs, old.id)

@@ -48,6 +48,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -67,6 +68,11 @@ import (
 	"stellar/internal/workload"
 )
 
+// maxRequestReps bounds the repetitions one request may ask for; beyond it
+// a request is rejected with 400 rather than occupying a worker for an
+// unbounded measurement.
+const maxRequestReps = 64
+
 // Options configures a Server. The zero value serves the live simulator at
 // the default scale with one worker per core.
 type Options struct {
@@ -82,11 +88,6 @@ type Options struct {
 	Seed  int64        // default seed base for requests that omit one (0 = 7)
 	Reps  int          // default repetitions for requests that omit them (0 = 8)
 
-	// MaxReps bounds per-request repetitions; beyond it a request is
-	// rejected with 400 rather than occupying a worker for an unbounded
-	// measurement (0 = 64).
-	MaxReps int
-
 	// Workers bounds concurrently executing jobs (0 = one per core);
 	// Backlog bounds jobs waiting for a worker (0 = 64; beyond it requests
 	// fail fast with 429). Parallel is the intra-job fan-out each running
@@ -94,10 +95,6 @@ type Options struct {
 	Workers  int
 	Backlog  int
 	Parallel int
-
-	// MaxJobs bounds the retained job registry (0 = 512); the oldest
-	// finished jobs are pruned first.
-	MaxJobs int
 
 	// MaxSweepCells bounds how many grid cells one POST /v1/sweeps request
 	// may expand to (0 = 1024); beyond it the request is rejected with 400
@@ -145,9 +142,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Reps == 0 {
 		o.Reps = 8
-	}
-	if o.MaxReps == 0 {
-		o.MaxReps = 64
 	}
 	if o.Workers == 0 {
 		o.Workers = pool.Default()
@@ -229,7 +223,7 @@ func New(opts Options) (*Server, error) {
 		fleet:   fleet,
 		eng:     eng,
 		queue:   pool.NewQueue(opts.Workers, opts.Backlog, opts.TenantQuota),
-		jobs:    newJobStore(opts.MaxJobs),
+		jobs:    newJobStore(),
 		start:   time.Now(),
 		baseCtx: ctx,
 		stop:    stop,
@@ -351,10 +345,10 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if reps == 0 {
 		reps = s.opts.Reps
 	}
-	if reps < 1 || reps > s.opts.MaxReps {
+	if reps < 1 || reps > maxRequestReps {
 		writeErrorDetails(w, http.StatusBadRequest, CodeBadRequest,
-			map[string]any{"field": "reps", "max": s.opts.MaxReps},
-			"reps must be in [1, %d], got %d", s.opts.MaxReps, reps)
+			map[string]any{"field": "reps", "max": maxRequestReps},
+			"reps must be in [1, %d], got %d", maxRequestReps, reps)
 		return
 	}
 	seed := req.Seed
@@ -490,10 +484,10 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	}
 	// Overrides get the same admission checks as evaluate: a queue worker
 	// must never be handed values that crash or pin it.
-	if req.Reps < 0 || req.Reps > s.opts.MaxReps {
+	if req.Reps < 0 || req.Reps > maxRequestReps {
 		writeErrorDetails(w, http.StatusBadRequest, CodeBadRequest,
-			map[string]any{"field": "reps", "max": s.opts.MaxReps},
-			"reps must be in [1, %d], got %d", s.opts.MaxReps, req.Reps)
+			map[string]any{"field": "reps", "max": maxRequestReps},
+			"reps must be in [1, %d], got %d", maxRequestReps, req.Reps)
 		return
 	}
 	if req.Scale < 0 || req.Scale > 1.0 {
@@ -717,6 +711,10 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "bad request body: %v", err)
+		return false
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, "bad request body: data after the JSON value")
 		return false
 	}
 	return true

@@ -278,7 +278,7 @@ func TestFigureJobCancel(t *testing.T) {
 }
 
 func TestEvaluateValidation(t *testing.T) {
-	_, ts := newTestServer(t, Options{MaxReps: 8})
+	_, ts := newTestServer(t, Options{})
 	cases := []struct {
 		name, body string
 		status     int
@@ -287,9 +287,10 @@ func TestEvaluateValidation(t *testing.T) {
 		{"unknown workload", `{"workload":"NoSuchBench","reps":1}`, http.StatusBadRequest},
 		{"unknown parameter", `{"workload":"IOR_16M","reps":1,"config":{"bogus.knob":1}}`, http.StatusBadRequest},
 		{"read-only parameter", `{"workload":"IOR_16M","reps":1,"config":{"version":1}}`, http.StatusBadRequest},
-		{"reps over limit", `{"workload":"IOR_16M","reps":9}`, http.StatusBadRequest},
+		{"reps over limit", `{"workload":"IOR_16M","reps":65}`, http.StatusBadRequest},
 		{"negative reps", `{"workload":"IOR_16M","reps":-1}`, http.StatusBadRequest},
 		{"malformed json", `{"workload":`, http.StatusBadRequest},
+		{"trailing data", `{"workload":"IOR_16M","reps":1} {"reps":"garbage"} trailing`, http.StatusBadRequest},
 		{"unknown field", `{"workload":"IOR_16M","repz":3}`, http.StatusBadRequest},
 		{"fault severity out of range", `{"workload":"IOR_16M","reps":1,"faults":{"severity":2}}`, http.StatusBadRequest},
 		{"fault window without recovery gap", `{"workload":"IOR_16M","reps":1,"faults":{"osts":[{"ost":0,"factor":0,"start":0,"duration":0.2,"period":0.1}]}}`, http.StatusBadRequest},
@@ -589,7 +590,7 @@ func TestSweepGridExpansion(t *testing.T) {
 }
 
 func TestSweepValidation(t *testing.T) {
-	_, ts := newTestServer(t, Options{MaxReps: 8, MaxSweepCells: 4})
+	_, ts := newTestServer(t, Options{MaxSweepCells: 4})
 	cases := []struct{ name, body string }{
 		{"missing workload", `{"grid":{"osc.max_dirty_mb":[1]}}`},
 		{"unknown workload", `{"workload":"NoSuchBench","grid":{"osc.max_dirty_mb":[1]}}`},
@@ -598,7 +599,7 @@ func TestSweepValidation(t *testing.T) {
 		{"unknown grid parameter", `{"workload":"IOR_16M","grid":{"bogus.knob":[1]}}`},
 		{"read-only grid parameter", `{"workload":"IOR_16M","grid":{"version":[1]}}`},
 		{"unknown base parameter", `{"workload":"IOR_16M","base":{"bogus.knob":1},"grid":{"osc.max_dirty_mb":[1]}}`},
-		{"reps over limit", `{"workload":"IOR_16M","reps":9,"grid":{"osc.max_dirty_mb":[1]}}`},
+		{"reps over limit", `{"workload":"IOR_16M","reps":65,"grid":{"osc.max_dirty_mb":[1]}}`},
 		{"grid too large", `{"workload":"IOR_16M","grid":{"osc.max_dirty_mb":[1,2,4,8,16]}}`},
 		{"malformed json", `{"workload":`},
 	}
@@ -1112,14 +1113,14 @@ func TestTuneRobustObjective(t *testing.T) {
 }
 
 func TestTuneValidation(t *testing.T) {
-	_, ts := newTestServer(t, Options{MaxReps: 8, MaxTuneCandidates: 16})
+	_, ts := newTestServer(t, Options{MaxTuneCandidates: 16})
 	for name, body := range map[string]string{
 		"missing workload":        `{}`,
 		"unknown workload":        `{"workload":"nope"}`,
 		"one candidate":           `{"workload":"IOR_16M","candidates":1}`,
 		"too many candidates":     `{"workload":"IOR_16M","candidates":17}`,
 		"eta one":                 `{"workload":"IOR_16M","eta":1}`,
-		"excessive max_reps":      `{"workload":"IOR_16M","max_reps":9}`,
+		"excessive max_reps":      `{"workload":"IOR_16M","max_reps":65}`,
 		"min above max":           `{"workload":"IOR_16M","min_reps":3,"max_reps":2}`,
 		"unknown space param":     `{"workload":"IOR_16M","space":["bogus.param"]}`,
 		"read-only space":         `{"workload":"IOR_16M","space":["llite.kbytestotal"]}`,

@@ -122,10 +122,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if reps == 0 {
 		reps = s.opts.Reps
 	}
-	if reps < 1 || reps > s.opts.MaxReps {
+	if reps < 1 || reps > maxRequestReps {
 		writeErrorDetails(w, http.StatusBadRequest, CodeBadRequest,
-			map[string]any{"field": "reps", "max": s.opts.MaxReps},
-			"reps must be in [1, %d], got %d", s.opts.MaxReps, reps)
+			map[string]any{"field": "reps", "max": maxRequestReps},
+			"reps must be in [1, %d], got %d", maxRequestReps, reps)
 		return
 	}
 	seed := req.Seed

@@ -129,10 +129,10 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	if maxReps == 0 {
 		maxReps = s.opts.Reps
 	}
-	if maxReps < 1 || maxReps > s.opts.MaxReps {
+	if maxReps < 1 || maxReps > maxRequestReps {
 		writeErrorDetails(w, http.StatusBadRequest, CodeBadRequest,
-			map[string]any{"field": "max_reps", "max": s.opts.MaxReps},
-			"max_reps must be in [1, %d], got %d", s.opts.MaxReps, maxReps)
+			map[string]any{"field": "max_reps", "max": maxRequestReps},
+			"max_reps must be in [1, %d], got %d", maxRequestReps, maxReps)
 		return
 	}
 	if req.MinReps < 0 || req.MinReps > maxReps {

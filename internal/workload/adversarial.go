@@ -9,9 +9,8 @@ import "math/rand"
 // benchmark families.
 
 // TraceFile is the per-file access summary a trace replay is generated
-// from: counters in the shape Darshan reports per record (the darshan
-// package converts its parsed logs into this form; workload deliberately
-// does not import darshan — the dependency runs the other way).
+// from: counters in the shape Darshan reports per record. workload
+// deliberately does not import darshan — the dependency runs the other way.
 type TraceFile struct {
 	Reads, Writes  int64 // operation counts across all trace processes
 	Stats, Unlinks int64
