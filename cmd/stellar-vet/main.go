@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"stellar/internal/analysis"
@@ -60,24 +61,13 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	cwd, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "stellar-vet: %v\n", err)
-		os.Exit(2)
-	}
-	pkgs, err := analysis.LoadModule(cwd, patterns...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "stellar-vet: %v\n", err)
-		os.Exit(2)
-	}
+	pkgs, err := analysis.LoadModule(".", patterns...)
+	check(err)
 	if _, err := os.Stat("go.mod"); err == nil && len(patterns) == 1 && patterns[0] == "./..." {
-		nested, _ := filepath.Glob(filepath.Join(cwd, "*", "go.mod"))
+		nested, _ := filepath.Glob(filepath.Join("*", "go.mod"))
 		for _, gomod := range nested {
 			extra, err := analysis.LoadModule(filepath.Dir(gomod), "./...")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "stellar-vet: %v\n", err)
-				os.Exit(2)
-			}
+			check(err)
 			for _, p := range extra {
 				p.Extra = true
 			}
@@ -86,24 +76,23 @@ func main() {
 	} else {
 		// Over part of the module, callers outside it are not loaded and
 		// every function they call would read as dead.
-		var perPackage []*analysis.Analyzer
-		for _, a := range suite {
-			if a.RunModule == nil {
-				perPackage = append(perPackage, a)
-			}
-		}
-		suite = perPackage
+		suite = slices.DeleteFunc(suite, func(a *analysis.Analyzer) bool { return a.Module })
 	}
 	diags, err := analysis.RunAnalyzers(pkgs, suite)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "stellar-vet: %v\n", err)
-		os.Exit(2)
-	}
+	check(err)
 	for _, d := range diags {
 		fmt.Println(d.String())
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "stellar-vet: %d finding(s)\n", len(diags))
 		os.Exit(1)
+	}
+}
+
+// check exits 2 on a load or analysis error.
+func check(err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "stellar-vet: %v\n", err)
+		os.Exit(2)
 	}
 }

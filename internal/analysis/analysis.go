@@ -44,14 +44,14 @@ import (
 
 // Analyzer is one named static check. The shape deliberately matches
 // golang.org/x/tools/go/analysis.Analyzer so the checks could migrate to a
-// real multichecker without edits beyond the import path.
-// A whole-module analyzer sets RunModule instead of Run; it runs once over
-// every loaded package.
+// real multichecker without edits beyond the import path. A Module
+// analyzer's Run is called once, over every loaded package (Pass.Pkgs),
+// instead of once per package.
 type Analyzer struct {
-	Name      string
-	Doc       string
-	Run       func(*Pass) error
-	RunModule func(*ModulePass) error
+	Name   string
+	Doc    string
+	Run    func(*Pass) error
+	Module bool
 }
 
 // Diagnostic is one finding, with its position already resolved so callers
@@ -78,40 +78,24 @@ type Package struct {
 	Extra bool
 }
 
-// Pass carries one analyzer's view of one package.
+// Pass carries one analyzer's view of one package. A Module analyzer's one
+// pass has only Pkgs and the Fset the module's packages share.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
+	Pkgs     []*Package
 
 	diags *[]Diagnostic
 }
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	report(p.diags, p.Analyzer, p.Fset, pos, format, args...)
-}
-
-// ModulePass carries a whole-module analyzer's view: every loaded package,
-// the nested modules' ones marked Extra.
-type ModulePass struct {
-	Analyzer *Analyzer
-	Pkgs     []*Package
-
-	diags *[]Diagnostic
-}
-
-// Reportf records a diagnostic at pos in pkg.
-func (p *ModulePass) Reportf(pkg *Package, pos token.Pos, format string, args ...any) {
-	report(p.diags, p.Analyzer, pkg.Fset, pos, format, args...)
-}
-
-func report(diags *[]Diagnostic, a *Analyzer, fset *token.FileSet, pos token.Pos, format string, args ...any) {
-	*diags = append(*diags, Diagnostic{
-		Pos:      fset.Position(pos),
-		Analyzer: a.Name,
+	*p.diags = append(*p.diags, Diagnostic{
+		Pos:      p.Fset.Position(pos),
+		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
@@ -122,13 +106,14 @@ func All() []*Analyzer {
 }
 
 // RunAnalyzers applies every analyzer to every package that is not Extra
-// (a whole-module analyzer to all of them at once) and returns the findings
-// sorted by position.
+// (a Module analyzer to all of them at once; the first package's Fset must
+// be the one the non-Extra packages share) and returns the findings sorted
+// by position.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		if a.RunModule != nil {
-			if err := a.RunModule(&ModulePass{Analyzer: a, Pkgs: pkgs, diags: &diags}); err != nil {
+		if a.Module && len(pkgs) > 0 {
+			if err := a.Run(&Pass{Analyzer: a, Fset: pkgs[0].Fset, Pkgs: pkgs, diags: &diags}); err != nil {
 				return nil, fmt.Errorf("analysis: %s: %w", a.Name, err)
 			}
 			continue

@@ -38,24 +38,17 @@ func hasMarker(doc *ast.CommentGroup, name string) bool {
 		return false
 	}
 	for _, c := range doc.List {
-		if markerName(c) == name {
+		if n, _ := markerName(c); n == name {
 			return true
 		}
 	}
 	return false
 }
 
-// markerName extracts the annotation name from a //stellar:* comment, or ""
-// when the comment is not an annotation. A rationale may follow the marker
-// after whitespace.
-func markerName(c *ast.Comment) string {
-	name, _ := splitMarker(c)
-	return name
-}
-
-// splitMarker splits a //stellar:* comment into the annotation name and the
-// rationale after it; both are "" when the comment is not an annotation.
-func splitMarker(c *ast.Comment) (name, rationale string) {
+// markerName splits a //stellar:* comment into the annotation name and the
+// rationale that may follow it after whitespace; both are "" when the
+// comment is not an annotation.
+func markerName(c *ast.Comment) (name, rationale string) {
 	text := strings.TrimPrefix(c.Text, "//")
 	text = strings.TrimSpace(text)
 	if !strings.HasPrefix(text, annPrefix) {
@@ -96,7 +89,7 @@ func collectMarkers(pass *Pass, name string) *markers {
 	for _, f := range pass.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if markerName(c) != name {
+				if n, _ := markerName(c); n != name {
 					continue
 				}
 				p := pass.Fset.Position(c.Pos())

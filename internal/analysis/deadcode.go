@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -19,72 +18,33 @@ import (
 // From the roots it follows every reference, not only calls: a function
 // value or a method value keeps its target alive. A call from a test does
 // not, because test files are never loaded. A function kept on purpose
-// carries //stellar:keep <reason> on its doc comment; the keep is verified
-// load-bearing like //stellar:order-independent, so a keep without a
-// reason, or on a function that is reachable anyway, is reported in turn.
-// A kept function is a root, so what it alone calls is kept with it.
+// carries //stellar:keep <reason> on its doc comment. A kept function is a
+// root, and the keep is verified load-bearing like
+// //stellar:order-independent: a keep without a reason, on a function that
+// is reachable anyway, or on no function is reported in turn.
 //
 // Callers outside the loaded packages are invisible, so the check means
 // something only over the whole module; stellar-vet runs it only then.
 var DeadCode = &Analyzer{
-	Name:      "deadcode",
-	Doc:       "report functions and methods no main, init, var initializer, nested module or satisfied interface reaches",
-	RunModule: runDeadCode,
+	Name:   "deadcode",
+	Doc:    "report functions and methods no main, init, var initializer, nested module or satisfied interface reaches",
+	Run:    runDeadCode,
+	Module: true,
 }
 
-// funcDecl is one function or method declaration deadcode may report.
-type funcDecl struct {
-	pkg *Package
-	fd  *ast.FuncDecl
-	fn  *types.Func
-}
-
-func runDeadCode(pass *ModulePass) error {
-	var (
-		decls []*funcDecl
-		byKey = make(map[string]*funcDecl)
-		roots []ast.Node
-		infos []*types.Info // roots[i] is checked under infos[i]
-	)
-	for _, pkg := range pass.Pkgs {
-		for _, f := range pkg.Files {
-			if pkg.Extra {
-				roots, infos = append(roots, f), append(infos, pkg.Info)
-				continue
-			}
-			for _, d := range f.Decls {
-				switch d := d.(type) {
-				case *ast.FuncDecl:
-					fn, _ := pkg.Info.Defs[d.Name].(*types.Func)
-					if fn == nil || d.Name.Name == "_" {
-						continue
-					}
-					if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && pkg.Types.Name() == "main") {
-						roots, infos = append(roots, d), append(infos, pkg.Info)
-						continue
-					}
-					fd := &funcDecl{pkg: pkg, fd: d, fn: fn}
-					decls = append(decls, fd)
-					byKey[funcKey(fn)] = fd
-				case *ast.GenDecl:
-					if d.Tok == token.VAR {
-						roots, infos = append(roots, d), append(infos, pkg.Info)
-					}
-				}
-			}
-		}
+func runDeadCode(pass *Pass) error {
+	type decl struct {
+		pkg *Package
+		fd  *ast.FuncDecl
+		fn  *types.Func
 	}
-
+	byKey := make(map[string]decl) // every function deadcode may report
 	live := make(map[string]bool)
-	var queue []*funcDecl
+	var queue []string // live keys whose bodies are not walked yet
 	mark := func(f *types.Func) {
-		k := funcKey(f)
-		if k == "" || live[k] {
-			return
-		}
-		live[k] = true
-		if fd := byKey[k]; fd != nil {
-			queue = append(queue, fd)
+		if k := funcKey(f); k != "" && !live[k] {
+			live[k] = true
+			queue = append(queue, k)
 		}
 	}
 	walk := func(info *types.Info, n ast.Node) {
@@ -97,55 +57,73 @@ func runDeadCode(pass *ModulePass) error {
 			return true
 		})
 	}
-	for i, n := range roots {
-		walk(infos[i], n)
+	drain := func() {
+		for len(queue) > 0 {
+			k := queue[len(queue)-1]
+			queue = queue[:len(queue)-1]
+			if d, ok := byKey[k]; ok {
+				walk(d.pkg.Info, d.fd)
+			}
+		}
+	}
+
+	for _, pkg := range pass.Pkgs {
+		for _, f := range pkg.Files {
+			if pkg.Extra {
+				walk(pkg.Info, f)
+				continue
+			}
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					fn, _ := pkg.Info.Defs[d.Name].(*types.Func)
+					switch {
+					case d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && pkg.Types.Name() == "main"):
+						walk(pkg.Info, d)
+					case fn != nil && d.Name.Name != "_":
+						byKey[funcKey(fn)] = decl{pkg, d, fn}
+					}
+				case *ast.GenDecl: // only a var initializer can refer to a function
+					walk(pkg.Info, d)
+				}
+			}
+		}
 	}
 	for _, f := range satisfyingMethods(pass.Pkgs) {
 		mark(f)
 	}
-	drain := func() {
-		for len(queue) > 0 {
-			fd := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			walk(fd.pkg.Info, fd.fd)
-		}
-	}
 	drain()
 
-	// A keep is judged against reachability without any keep; then every
-	// kept function becomes a root, so what it calls is not reported.
-	owned := make(map[*ast.Comment]bool) // keeps on a checked declaration
-	for _, fd := range decls {
-		keep, reason := keepMarker(fd.fd.Doc)
-		if keep == nil {
+	// Keeps are judged against reachability without them; then each kept
+	// function becomes a root, so what it alone calls is kept with it.
+	owned := make(map[*ast.Comment]bool)
+	for _, d := range byKey {
+		keep, reason := keepMarker(d.fd.Doc)
+		switch {
+		case keep == nil:
 			continue
+		case reason == "":
+			pass.Reportf(d.fd.Name.Pos(), "%s: //stellar:keep needs a reason after the marker", funcName(d.fn))
+		case live[funcKey(d.fn)]:
+			pass.Reportf(d.fd.Name.Pos(), "%s is reachable, so its //stellar:keep is stale; delete the annotation", funcName(d.fn))
+		default:
+			mark(d.fn)
 		}
 		owned[keep] = true
-		switch name := funcName(fd.fn); {
-		case reason == "":
-			pass.Reportf(fd.pkg, fd.fd.Name.Pos(), "%s: //stellar:keep needs a reason after the marker", name)
-		case live[funcKey(fd.fn)]:
-			pass.Reportf(fd.pkg, fd.fd.Name.Pos(), "%s is reachable, so its //stellar:keep is stale; delete the annotation", name)
-		default:
-			mark(fd.fn)
-		}
 	}
 	drain()
-	for _, fd := range decls {
-		if keep, _ := keepMarker(fd.fd.Doc); keep == nil && !live[funcKey(fd.fn)] {
-			pass.Reportf(fd.pkg, fd.fd.Name.Pos(),
-				"%s is unreachable from every main, init, var initializer, nested module and satisfied interface; delete it or mark it //stellar:keep <reason>", funcName(fd.fn))
+	for _, d := range byKey {
+		if keep, _ := keepMarker(d.fd.Doc); keep == nil && !live[funcKey(d.fn)] {
+			pass.Reportf(d.fd.Name.Pos(),
+				"%s is unreachable from every main, init, var initializer, nested module and satisfied interface; delete it or mark it //stellar:keep <reason>", funcName(d.fn))
 		}
 	}
 	for _, pkg := range pass.Pkgs {
-		if pkg.Extra {
-			continue
-		}
 		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
-					if markerName(c) == "keep" && !owned[c] {
-						pass.Reportf(pkg, c.Pos(), "unused //stellar:keep annotation: it is not on the doc comment of a function deadcode checks; delete it")
+					if name, _ := markerName(c); !pkg.Extra && name == "keep" && !owned[c] {
+						pass.Reportf(c.Pos(), "unused //stellar:keep annotation: it is not on the doc comment of a function deadcode checks; delete it")
 					}
 				}
 			}
@@ -156,12 +134,11 @@ func runDeadCode(pass *ModulePass) error {
 
 // keepMarker returns the //stellar:keep comment in doc and its reason.
 func keepMarker(doc *ast.CommentGroup) (*ast.Comment, string) {
-	if doc == nil {
-		return nil, ""
-	}
-	for _, c := range doc.List {
-		if name, reason := splitMarker(c); name == "keep" {
-			return c, reason
+	if doc != nil {
+		for _, c := range doc.List {
+			if name, reason := markerName(c); name == "keep" {
+				return c, reason
+			}
 		}
 	}
 	return nil, ""
@@ -172,19 +149,14 @@ func keepMarker(doc *ast.CommentGroup) (*ast.Comment, string) {
 // module, which is checked against this module's export data. Interface
 // methods have no declaration to reach and key to "".
 func funcKey(f *types.Func) string {
-	f = f.Origin()
-	if f.Pkg() == nil {
-		return ""
-	}
-	recv := f.Type().(*types.Signature).Recv()
-	if recv == nil {
+	switch recv, named := f.Type().(*types.Signature).Recv(), recvNamed(f); {
+	case recv == nil:
 		return f.Pkg().Path() + "." + f.Name()
-	}
-	named := recvNamed(f)
-	if named == nil || types.IsInterface(recv.Type()) {
+	case named == nil || types.IsInterface(recv.Type()):
 		return ""
+	default:
+		return f.Pkg().Path() + "." + named.Obj().Name() + "." + f.Name()
 	}
-	return f.Pkg().Path() + "." + named.Obj().Name() + "." + f.Name()
 }
 
 // funcName renders f for a finding: Name or Type.Name.
@@ -195,32 +167,25 @@ func funcName(f *types.Func) string {
 	return f.Name()
 }
 
-// satisfyingMethods returns every method (promoted ones included) through
+// satisfyingMethods returns every method, promoted ones included, through
 // which a package-level type of a non-Extra package satisfies an interface
-// in view: error, every interface type in the loaded packages and their
-// transitive imports, and every interface type an expression has. A
-// generic type or interface cannot be checked with types.Implements, so
-// there a matching method name is enough.
+// in view: error, the non-generic interface types declared in the loaded
+// packages and their transitive imports, and the type of every expression
+// (which covers interface literals and generic instantiations).
+// types.Implements is unspecified for a generic type, so a generic type's
+// method counts when its name alone matches.
 func satisfyingMethods(pkgs []*Package) []*types.Func {
-	byName := make(map[string][]*types.Interface) // method name → interfaces declaring it
-	anyWithName := make(map[string]bool)          // method names of generic interfaces
+	ifaces := make(map[string][]*types.Interface) // method name → interfaces declaring it
 	seen := make(map[*types.Interface]bool)
-	add := func(t types.Type, generic bool) {
-		it, ok := t.Underlying().(*types.Interface)
-		if !ok || seen[it] {
-			return
-		}
-		seen[it] = true
-		for i := 0; i < it.NumMethods(); i++ {
-			name := it.Method(i).Name()
-			if generic {
-				anyWithName[name] = true
-			} else {
-				byName[name] = append(byName[name], it)
+	add := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok && !seen[it] {
+			seen[it] = true
+			for i := 0; i < it.NumMethods(); i++ {
+				ifaces[it.Method(i).Name()] = append(ifaces[it.Method(i).Name()], it)
 			}
 		}
 	}
-	add(types.Universe.Lookup("error").Type(), false)
+	add(types.Universe.Lookup("error").Type())
 	visited := make(map[*types.Package]bool)
 	var visit func(p *types.Package)
 	visit = func(p *types.Package) {
@@ -229,9 +194,8 @@ func satisfyingMethods(pkgs []*Package) []*types.Func {
 		}
 		visited[p] = true
 		for _, name := range p.Scope().Names() {
-			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
-				named, _ := tn.Type().(*types.Named)
-				add(tn.Type(), named != nil && named.TypeParams().Len() > 0)
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok && !isGeneric(tn.Type()) {
+				add(tn.Type())
 			}
 		}
 		for _, q := range p.Imports() {
@@ -241,42 +205,35 @@ func satisfyingMethods(pkgs []*Package) []*types.Func {
 	for _, pkg := range pkgs {
 		visit(pkg.Types)
 		for _, tv := range pkg.Info.Types {
-			add(tv.Type, false)
+			add(tv.Type)
 		}
 	}
 
 	var out []*types.Func
 	for _, pkg := range pkgs {
-		if pkg.Extra {
-			continue
-		}
-		scope := pkg.Types.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
+		for _, name := range pkg.Types.Scope().Names() {
+			tn, ok := pkg.Types.Scope().Lookup(name).(*types.TypeName)
+			if pkg.Extra || !ok || types.IsInterface(tn.Type()) {
 				continue
 			}
-			named, ok := tn.Type().(*types.Named)
-			if !ok || types.IsInterface(named) {
-				continue
-			}
-			ptr := types.NewPointer(named)
-			generic := named.TypeParams().Len() > 0
+			ptr := types.NewPointer(tn.Type())
 			ms := types.NewMethodSet(ptr)
 			for i := 0; i < ms.Len(); i++ {
 				m := ms.At(i).Obj().(*types.Func)
-				ok := anyWithName[m.Name()] || generic && len(byName[m.Name()]) > 0
-				for _, it := range byName[m.Name()] {
-					if ok {
+				for _, it := range ifaces[m.Name()] {
+					if isGeneric(tn.Type()) || types.Implements(ptr, it) {
+						out = append(out, m)
 						break
 					}
-					ok = !generic && types.Implements(ptr, it)
-				}
-				if ok {
-					out = append(out, m)
 				}
 			}
 		}
 	}
 	return out
+}
+
+// isGeneric reports whether t is a generic named type, not instantiated.
+func isGeneric(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	return ok && named.TypeParams().Len() > 0
 }

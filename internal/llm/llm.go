@@ -46,11 +46,10 @@ type ToolDef struct {
 
 // Request is one chat completion request.
 type Request struct {
-	Model       string
-	System      string
-	Messages    []Message
-	Tools       []ToolDef
-	Temperature float64
+	Model    string
+	System   string
+	Messages []Message
+	Tools    []ToolDef
 }
 
 // Usage reports token consumption for one response.
