@@ -1,6 +1,6 @@
 // Command stellar-vet runs the repository's custom static analyzers — the
-// determinism, hot-path, context-flow, lock-discipline and dead-code contracts — over
-// the packages matching the given patterns.
+// determinism, hot-path, context-flow, lock-discipline and dead-code
+// contracts — over the packages matching the given patterns.
 //
 // Usage:
 //

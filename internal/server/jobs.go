@@ -171,7 +171,9 @@ type jobStore struct {
 	order []*Job
 }
 
-func newJobStore() *jobStore { return &jobStore{jobs: make(map[string]*Job)} }
+func newJobStore() *jobStore {
+	return &jobStore{jobs: make(map[string]*Job)}
+}
 
 func (s *jobStore) create(kind, target string) *Job {
 	s.mu.Lock()
