@@ -30,13 +30,13 @@ type listPackage struct {
 
 // LoadModule loads and type-checks the packages matching patterns (e.g.
 // "./...") in the module rooted at or above dir. Targets are checked in the
-// dependency order `go list -deps` prints, and an import of a target
-// already checked resolves to that package, so all targets share one
-// universe of types objects. Every other import, the standard library
-// included, is resolved from compiled export data produced by
-// `go list -export`, so loading is fast and needs no network. Test files are not included: the contracts the
-// analyzers enforce are about shipped simulation code, and tests
-// legitimately use wall clocks, ad-hoc goroutines, and context.Background.
+// dependency order `go list -deps` prints, and an import of a checked target
+// resolves to it, so the targets share one set of type objects. Every other
+// import, the standard library included, is resolved from compiled export
+// data produced by `go list -export`, so loading is fast and needs no
+// network. Test files are not included: the contracts the analyzers
+// enforce are about shipped simulation code, and tests legitimately use
+// wall clocks, ad-hoc goroutines, and context.Background.
 func LoadModule(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}

@@ -20,8 +20,7 @@ import (
 // of candidate configurations and runs successive halving over them,
 // driving every measurement through the shared run cache. Omitted knobs
 // fall back to sensible defaults; max_reps defaults to the server's
-// per-request repetition default and, like evaluate's reps, is at most
-// maxRequestReps.
+// per-request rep default and is capped at maxRequestReps, as in evaluate.
 // Faults runs the whole search under a fault plan; with the "robust"
 // objective kind it is required, and each candidate is scored across the
 // clean cluster plus fault_variants seed-derived variants of the plan
