@@ -15,8 +15,11 @@
 //	                               # dedup identical trials; print hit/miss counters
 //	stellar-bench -fig fig8 -repeat 2 -cache -json BENCH_fig8.json
 //	                               # machine-readable wall-clock + cache stats per pass
-//	stellar-bench -platform record # serialize the full run set to -record-dir
+//	stellar-bench -platform record # serialize the full run set, trace events included,
+//	                               # to -record-dir
 //	stellar-bench -platform replay # regenerate tables from recorded runs, no simulation
+//	                               # (both run a cache over -record-dir, so -cache-stats
+//	                               # reports it and -cache-dir is rejected)
 //
 // A run is one table of scenarios, each selected by one flag and run in
 // this order:

@@ -9,7 +9,8 @@
 //	stellar-serve -addr :9000 -workers 8   # more concurrent jobs
 //	stellar-serve -cache-dir cachedir      # persist runs; warm-start on restart
 //	stellar-serve -platform replay -record-dir runs
-//	                                       # serve recorded runs, no simulation
+//	                                       # serve recorded runs, no simulation;
+//	                                       # runs is the cache dir (no -cache-dir)
 //	stellar-serve -self h1:8351 -peers h1:8351,h2:8351,h3:8351 -cache-dir /shared
 //	                                       # join a fleet: RunSpec keys rendezvous-
 //	                                       # hash to one owner, duplicates anywhere

@@ -10,6 +10,7 @@
 //	stellar-sim -workload IOR_16M -reps 8 -parallel 4
 //	stellar-sim -workload IOR_16M -reps 8 -platform record   # serialize runs to -record-dir
 //	stellar-sim -workload IOR_16M -reps 8 -platform replay   # re-print from the recorded set
+//	stellar-sim -workload IOR_16M -darshan -platform record  # the recording keeps the trace events
 //
 // Repetitions fan out over -parallel workers with per-rep seeds fixed by
 // index, so the printed lines are identical to a serial run. SIGINT

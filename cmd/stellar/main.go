@@ -7,7 +7,8 @@
 //
 //	stellar -workload IOR_16M [-model claude-3.7-sonnet] [-scale 0.25] [-attempts 5] [-parallel 4]
 //	stellar -workload IOR_16M -cache -cache-stats      # memoize identical trials
-//	stellar -workload IOR_16M -platform record         # serialize every run to -record-dir
+//	stellar -workload IOR_16M -platform record         # serialize every run to -record-dir,
+//	                                                   # the traced initial run with its events
 //	stellar -workload IOR_16M -platform replay         # regenerate from recorded runs, no simulation
 //	stellar -workload IOR_16M -tune -tune-candidates 16 -cache
 //	                                                   # adaptive successive-halving search

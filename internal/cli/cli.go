@@ -40,55 +40,53 @@ func RegisterPlatformFlagsOn(fs *flag.FlagSet) *PlatformFlags {
 		Cache:       fs.Bool("cache", false, "memoize runs in a content-addressed, sharded, singleflight-deduplicated cache"),
 		CacheSize:   fs.Int("cache-size", 0, "run cache capacity in entries across all shards (0 = default)"),
 		CacheShards: fs.Int("cache-shards", 0, "run cache shard count (0 = default)"),
-		CacheDir:    fs.String("cache-dir", "", "write-through run cache persistence directory: completed runs land there as <key>.json and later processes warm-start from them (implies -cache)"),
+		CacheDir:    fs.String("cache-dir", "", "write-through run cache persistence directory: completed runs land there as <key>.json and later processes warm-start from them (implies -cache; not with -platform record or replay, whose directory is -record-dir)"),
 		CacheStats:  fs.Bool("cache-stats", false, "print run cache hit/miss statistics on exit"),
 	}
 }
 
 // Build resolves the flags into a platform stack. The returned cache is nil
-// when caching is off; when set it is already part of the returned
-// Platform. -cache-dir implies -cache (persistence without a cache would be
-// pointless). Record and cache directories are validated here so a bad path
-// fails at startup with a usable message instead of failing per-trial
-// mid-run.
+// when caching is off; when set it is the returned Platform. -cache-dir
+// implies -cache (persistence without a cache would be pointless). Record
+// and replay are run caches over -record-dir that keep traced runs too, so
+// -cache-dir, a second directory, is rejected with them. Directories are
+// validated here so a bad path fails at startup with a usable message
+// instead of failing per-trial mid-run.
 func (f *PlatformFlags) Build() (platform.Platform, *runcache.Cache, error) {
-	var base platform.Platform
+	var base platform.Platform = platform.Simulator{}
+	opts := runcache.Options{Capacity: *f.CacheSize, Shards: *f.CacheShards, Dir: *f.CacheDir}
 	switch *f.Platform {
 	case "sim":
-		base = platform.Simulator{}
-	case "record":
-		if err := checkDir("-record-dir", *f.RecordDir, false); err != nil {
+		if *f.CacheDir != "" {
+			if err := checkDir("-cache-dir", *f.CacheDir, false); err != nil {
+				return nil, nil, err
+			}
+		} else if !*f.Cache {
+			return base, nil, nil
+		}
+	case "record", "replay":
+		if *f.CacheDir != "" {
+			return nil, nil, fmt.Errorf("-cache-dir cannot be combined with -platform %s, whose run cache directory is -record-dir", *f.Platform)
+		}
+		replay := *f.Platform == "replay"
+		if err := checkDir("-record-dir", *f.RecordDir, replay); err != nil {
 			return nil, nil, err
 		}
-		base = &platform.Recorder{Inner: platform.Simulator{}, Dir: *f.RecordDir}
-	case "replay":
-		if err := checkDir("-record-dir", *f.RecordDir, true); err != nil {
-			return nil, nil, err
+		if replay {
+			base = platform.NoRecording(*f.RecordDir)
 		}
-		base = &platform.Replayer{Dir: *f.RecordDir}
+		opts.Dir, opts.Traces = *f.RecordDir, true
 	default:
 		return nil, nil, fmt.Errorf("unknown -platform %q (want sim, record, or replay)", *f.Platform)
 	}
-	if !*f.Cache && *f.CacheDir == "" {
-		return base, nil, nil
-	}
-	if *f.CacheDir != "" {
-		if err := checkDir("-cache-dir", *f.CacheDir, false); err != nil {
-			return nil, nil, err
-		}
-	}
-	cache := runcache.NewWithOptions(base, runcache.Options{
-		Capacity: *f.CacheSize,
-		Shards:   *f.CacheShards,
-		Dir:      *f.CacheDir,
-	})
+	cache := runcache.NewWithOptions(base, opts)
 	return cache, cache, nil
 }
 
 // checkDir validates a directory-valued flag. Replay requires an existing
 // directory (there is nothing to serve otherwise); record and cache
-// persistence only require that the path, if present, is a directory — the
-// writer creates it on first use.
+// persistence only require that the path, if present, is a directory —
+// platform.WriteRecording creates it on first use.
 func checkDir(flagName, dir string, mustExist bool) error {
 	if dir == "" {
 		return fmt.Errorf("%s must not be empty", flagName)

@@ -34,10 +34,10 @@ func TestBuildCombinations(t *testing.T) {
 		{"defaults", nil, "sim", false},
 		{"sim explicit", []string{"-platform", "sim"}, "sim", false},
 		{"sim cached", []string{"-cache"}, "cache(sim)", true},
-		{"record", []string{"-platform", "record", "-record-dir", dir}, "record(sim)", false},
-		{"record cached", []string{"-platform", "record", "-record-dir", dir, "-cache"}, "cache(record(sim))", true},
-		{"record new dir", []string{"-platform", "record", "-record-dir", filepath.Join(dir, "new")}, "record(sim)", false},
-		{"replay", []string{"-platform", "replay", "-record-dir", dir}, "replay", false},
+		{"record", []string{"-platform", "record", "-record-dir", dir}, "cache(sim)", true},
+		{"record cached", []string{"-platform", "record", "-record-dir", dir, "-cache"}, "cache(sim)", true},
+		{"record new dir", []string{"-platform", "record", "-record-dir", filepath.Join(dir, "new")}, "cache(sim)", true},
+		{"replay", []string{"-platform", "replay", "-record-dir", dir}, "cache(replay)", true},
 		{"replay cached", []string{"-platform", "replay", "-record-dir", dir, "-cache"}, "cache(replay)", true},
 	}
 	for _, tc := range cases {
@@ -56,18 +56,31 @@ func TestBuildCombinations(t *testing.T) {
 			if cache != nil && platform.Platform(cache) != plat {
 				t.Fatal("returned cache must be the returned platform")
 			}
+			// Record and replay persist to -record-dir, so -cache-stats
+			// reports the one cache of the stack.
+			if record := *pf.Platform != "sim"; cache != nil && cache.Stats().Persisted != record {
+				t.Fatalf("persistent = %v, want %v", cache.Stats().Persisted, record)
+			}
 		})
 	}
 }
 
+// TestBuildCacheSize: -cache-size bounds the sim cache and the record or
+// replay cache alike.
 func TestBuildCacheSize(t *testing.T) {
-	pf := parse(t, "-cache", "-cache-size", "3")
-	_, cache, err := pf.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cache.Stats().Capacity; got != 3 {
-		t.Fatalf("capacity = %d, want 3", got)
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"-cache"},
+		{"-platform", "replay", "-record-dir", dir},
+	} {
+		pf := parse(t, append(args, "-cache-size", "3")...)
+		_, cache, err := pf.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cache.Stats().Capacity; got != 3 {
+			t.Fatalf("%v: capacity = %d, want 3", args, got)
+		}
 	}
 }
 
@@ -118,6 +131,8 @@ func TestBuildErrors(t *testing.T) {
 		{"replay empty dir flag", []string{"-platform", "replay", "-record-dir", ""}, "must not be empty"},
 		{"record empty dir flag", []string{"-platform", "record", "-record-dir", ""}, "must not be empty"},
 		{"cache dir is a file", []string{"-cache-dir", file}, "not a directory"},
+		{"record with cache dir", []string{"-platform", "record", "-record-dir", dir, "-cache-dir", dir}, "-cache-dir cannot be combined with -platform record"},
+		{"replay with cache dir", []string{"-platform", "replay", "-record-dir", dir, "-cache-dir", dir}, "-cache-dir cannot be combined with -platform replay"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

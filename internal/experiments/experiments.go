@@ -35,9 +35,10 @@ type Config struct {
 	// Platform is the measurement backend every engine in the experiment
 	// executes trials on. Nil selects the live simulator per engine. A
 	// shared runcache.Cache here deduplicates identical trials across all
-	// arms of a figure (and across figures); a platform.Recorder /
-	// Replayer pair regenerates tables from recorded runs without any
-	// simulation.
+	// arms of a figure (and across figures); one built with Dir and Traces
+	// records every run, traced ones with their events, and the same cache
+	// over platform.NoRecording regenerates tables from those recordings
+	// without any simulation.
 	Platform platform.Platform
 }
 
@@ -160,25 +161,24 @@ func fseries(sp []float64) string {
 // Experiment is a named, runnable experiment. Run honours ctx: cancelling
 // it aborts the regeneration promptly with ctx.Err().
 type Experiment struct {
-	ID   string
-	Name string
-	Run  func(context.Context, Config) (*Table, error)
+	ID  string
+	Run func(context.Context, Config) (*Table, error)
 }
 
 // All lists the experiments in paper order. Figure 10 is textual and
 // exposed separately via Fig10CaseStudy.
 func All() []Experiment {
 	return []Experiment{
-		{"fig2", "LLM hallucination vs RAG extraction", Fig2Hallucination},
-		{"fig5", "Tuning performance vs default and expert", Fig5TuningPerformance},
-		{"fig6", "Rule-set interpolation on benchmarks", Fig6RuleSetInterpolation},
-		{"fig7", "Rule-set extrapolation to real applications", Fig7RuleSetExtrapolation},
-		{"fig8", "Component ablations on MDWorkbench_8K", Fig8Ablation},
-		{"fig9", "Model comparison on IOR_16M", Fig9ModelComparison},
-		{"cost", "Token usage and prompt-cache statistics (§5.7)", CostTable},
-		{"iters", "Iteration cost vs traditional autotuners", IterationCost},
-		{"sweep", "RAG retrieval-depth and chunk-size sweep (extension)", RetrievalSweep},
-		{"search", "Adaptive tuning search via successive halving (extension)", TuningSearch},
+		{"fig2", Fig2Hallucination},        // LLM hallucination vs RAG extraction
+		{"fig5", Fig5TuningPerformance},    // Tuning performance vs default and expert
+		{"fig6", Fig6RuleSetInterpolation}, // Rule-set interpolation on benchmarks
+		{"fig7", Fig7RuleSetExtrapolation}, // Rule-set extrapolation to real applications
+		{"fig8", Fig8Ablation},             // Component ablations on MDWorkbench_8K
+		{"fig9", Fig9ModelComparison},      // Model comparison on IOR_16M
+		{"cost", CostTable},                // Token usage and prompt-cache statistics (§5.7)
+		{"iters", IterationCost},           // Iteration cost vs traditional autotuners
+		{"sweep", RetrievalSweep},          // RAG retrieval-depth and chunk-size sweep (extension)
+		{"search", TuningSearch},           // Adaptive tuning search via successive halving (extension)
 	}
 }
 

@@ -90,14 +90,14 @@ func TestFigureTableRoundTripsThroughReplay(t *testing.T) {
 	ctx := context.Background()
 
 	liveCfg := unitCfg()
-	liveCfg.Platform = &platform.Recorder{Inner: platform.Simulator{}, Dir: dir}
+	liveCfg.Platform = runcache.NewWithOptions(platform.Simulator{}, runcache.Options{Dir: dir, Traces: true})
 	live, err := Fig8Ablation(ctx, liveCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	replayCfg := unitCfg()
-	replayCfg.Platform = &platform.Replayer{Dir: dir}
+	replayCfg.Platform = runcache.NewWithOptions(platform.NoRecording(dir), runcache.Options{Dir: dir, Traces: true})
 	replayed, err := Fig8Ablation(ctx, replayCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -117,14 +117,14 @@ func TestCaseStudyRoundTripsThroughReplay(t *testing.T) {
 	ctx := context.Background()
 
 	liveCfg := unitCfg()
-	liveCfg.Platform = &platform.Recorder{Inner: platform.Simulator{}, Dir: dir}
+	liveCfg.Platform = runcache.NewWithOptions(platform.Simulator{}, runcache.Options{Dir: dir, Traces: true})
 	live, err := Fig10CaseStudy(ctx, liveCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	replayCfg := unitCfg()
-	replayCfg.Platform = &platform.Replayer{Dir: dir}
+	replayCfg.Platform = runcache.NewWithOptions(platform.NoRecording(dir), runcache.Options{Dir: dir, Traces: true})
 	replayed, err := Fig10CaseStudy(ctx, replayCfg)
 	if err != nil {
 		t.Fatal(err)

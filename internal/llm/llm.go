@@ -16,7 +16,6 @@ import (
 type Role string
 
 const (
-	RoleSystem    Role = "system"
 	RoleUser      Role = "user"
 	RoleAssistant Role = "assistant"
 	RoleTool      Role = "tool"

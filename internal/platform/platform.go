@@ -3,9 +3,10 @@
 // (cluster, workload, configuration, seed) trial and reports the measured
 // result — exactly how the paper's evaluation protocol treats the Lustre
 // deployment. The default backend wraps the discrete-event Lustre
-// simulator; a record/replay backend serializes results (and trace events)
-// to disk for deterministic, cluster-free regression runs; future adapters
-// can drive a real cluster behind the same interface.
+// simulator; recordings of its results (and trace events) on disk let a run
+// cache (internal/runcache) replay them for deterministic, cluster-free
+// regression runs; future adapters can drive a real cluster behind the same
+// interface.
 //
 // Every RunSpec has a stable content-addressed Key derived from the full
 // cluster spec, the workload's complete op streams, the configuration, and

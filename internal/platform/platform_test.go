@@ -2,11 +2,9 @@ package platform
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"stellar/internal/cluster"
@@ -180,50 +178,10 @@ type captureSink struct {
 
 func (c *captureSink) Record(ev lustre.Event) { c.events = append(c.events, ev) }
 
-func TestRecordReplayRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	rec := &Recorder{Inner: Simulator{}, Dir: dir}
-	spec := testRunSpec(t, 5)
-
-	liveSink := &captureSink{}
-	traced := spec
-	traced.Trace = liveSink
-	live, err := rec.Run(context.Background(), traced)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(liveSink.events) == 0 {
-		t.Fatal("recorder swallowed the live trace events")
-	}
-
-	rep := &Replayer{Dir: dir}
-	replaySink := &captureSink{}
-	replayTraced := spec
-	replayTraced.Trace = replaySink
-	replayed, err := rep.Run(context.Background(), replayTraced)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(live.Result, replayed.Result) {
-		t.Fatal("replayed result diverged from the live run")
-	}
-	if !reflect.DeepEqual(liveSink.events, replaySink.events) {
-		t.Fatal("replayed trace events diverged from the live run")
-	}
-
-	// Untraced replay of the same key works too.
-	again, err := rep.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.WallTime != live.WallTime {
-		t.Fatal("untraced replay diverged")
-	}
-}
-
-// TestRecordingReadWriteRoundTrip pins the exported <key>.json helpers the
-// run cache's persistence layer builds on: write, read back, exact match,
-// and os.IsNotExist-compatible misses.
+// TestRecordingReadWriteRoundTrip pins the exported <key>.json helpers every
+// run directory builds on: write, read back, exact match,
+// os.IsNotExist-compatible misses, and the one replacement rule — events
+// replace anything, an event-less recording only a missing or bad file.
 func TestRecordingReadWriteRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	spec := testRunSpec(t, 11)
@@ -245,115 +203,36 @@ func TestRecordingReadWriteRoundTrip(t *testing.T) {
 	if _, err := ReadRecording(dir, "0000000000000000"); !os.IsNotExist(err) {
 		t.Fatalf("missing recording err = %v, want IsNotExist", err)
 	}
-	// Overwrite is atomic and last-writer-wins.
-	rec.Result.WallTime++
-	if err := WriteRecording(dir, &rec); err != nil {
+	// An event-less rewrite never replaces a valid recording, which may be
+	// the richer traced form of the same run.
+	stale := rec
+	stale.Result.WallTime++
+	if err := WriteRecording(dir, &stale); err != nil {
 		t.Fatal(err)
 	}
-	got, err = ReadRecording(dir, spec.Key())
-	if err != nil {
+	if got, err = ReadRecording(dir, spec.Key()); err != nil || got.Result.WallTime != rec.Result.WallTime {
+		t.Fatalf("event-less rewrite replaced a valid recording: %v", err)
+	}
+	// A recording with events replaces it.
+	traced := stale
+	traced.Events = []lustre.Event{{Rank: 1}}
+	if err := WriteRecording(dir, &traced); err != nil {
 		t.Fatal(err)
 	}
-	if got.Result.WallTime != rec.Result.WallTime {
-		t.Fatal("rewrite not visible")
+	if got, err = ReadRecording(dir, spec.Key()); err != nil || !reflect.DeepEqual(&traced, got) {
+		t.Fatalf("traced rewrite not visible: %v", err)
 	}
-}
-
-func TestReplayerRejectsUnrecordedSpec(t *testing.T) {
-	rep := &Replayer{Dir: t.TempDir()}
-	_, err := rep.Run(context.Background(), testRunSpec(t, 99))
-	if err == nil || !strings.Contains(err.Error(), "no recording") {
-		t.Fatalf("want a no-recording error, got %v", err)
-	}
-}
-
-func TestReplayerRejectsSinkOnUntracedRecording(t *testing.T) {
-	dir := t.TempDir()
-	rec := &Recorder{Inner: Simulator{}, Dir: dir}
-	spec := testRunSpec(t, 6)
-	if _, err := rec.Run(context.Background(), spec); err != nil {
+	// An event-less recording replaces a torn file.
+	if err := os.WriteFile(filepath.Join(dir, spec.Key()+".json"), []byte(`{"key":`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	traced := spec
-	traced.Trace = &captureSink{}
-	_, err := (&Replayer{Dir: dir}).Run(context.Background(), traced)
-	if err == nil || !strings.Contains(err.Error(), "without tracing") {
-		t.Fatalf("want a without-tracing error, got %v", err)
-	}
-}
-
-// TestReplayerRejectsMislabelledRecording: a well-formed recording filed
-// under another spec's key must fail the replay, not serve the wrong result.
-func TestReplayerRejectsMislabelledRecording(t *testing.T) {
-	dir := t.TempDir()
-	recorded, wanted := testRunSpec(t, 7), testRunSpec(t, 8)
-	if _, err := (&Recorder{Inner: Simulator{}, Dir: dir}).Run(context.Background(), recorded); err != nil {
+	if err := WriteRecording(dir, &stale); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Rename(filepath.Join(dir, recorded.Key()+".json"), filepath.Join(dir, wanted.Key()+".json")); err != nil {
-		t.Fatal(err)
+	if got, err = ReadRecording(dir, spec.Key()); err != nil || got.Result.WallTime != stale.Result.WallTime {
+		t.Fatalf("event-less write did not repair a torn file: %v", err)
 	}
-	_, err := (&Replayer{Dir: dir}).Run(context.Background(), wanted)
-	if err == nil || !strings.Contains(err.Error(), "mislabelled") {
-		t.Fatalf("want a mislabelled-recording error, got %v", err)
-	}
-}
-
-func TestRecorderKeepsTracedRecording(t *testing.T) {
-	dir := t.TempDir()
-	rec := &Recorder{Inner: Simulator{}, Dir: dir}
-	spec := testRunSpec(t, 4)
-	traced := spec
-	traced.Trace = &captureSink{}
-	if _, err := rec.Run(context.Background(), traced); err != nil {
-		t.Fatal(err)
-	}
-	// A later untraced run of the same spec must not clobber the events.
-	if _, err := rec.Run(context.Background(), spec); err != nil {
-		t.Fatal(err)
-	}
-	replaySink := &captureSink{}
-	traced.Trace = replaySink
-	if _, err := (&Replayer{Dir: dir}).Run(context.Background(), traced); err != nil {
-		t.Fatal(err)
-	}
-	if len(replaySink.events) == 0 {
-		t.Fatal("untraced re-record dropped the traced recording's events")
-	}
-	if matches, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(matches) != 1 {
-		t.Fatalf("want exactly one recording, got %d", len(matches))
-	}
-}
-
-// TestRecorderRepairsBadRecording: an event-less record over a torn or
-// mislabelled <key>.json must replace it, so the next replay serves the
-// spec instead of failing on the file the record pass kept.
-func TestRecorderRepairsBadRecording(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		bad  string // file contents; %q is another spec's key
-	}{
-		{"torn", `{"key":%q,"result":{`},
-		{"mislabelled", `{"key":%q,"seed":5}`},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			spec := testRunSpec(t, 4)
-			bad := fmt.Sprintf(tc.bad, testRunSpec(t, 5).Key())
-			if err := os.WriteFile(filepath.Join(dir, spec.Key()+".json"), []byte(bad), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			want, err := (&Recorder{Inner: Simulator{}, Dir: dir}).Run(context.Background(), spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := (&Replayer{Dir: dir}).Run(context.Background(), spec)
-			if err != nil {
-				t.Fatalf("replay after re-record: %v", err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("replayed %+v, recorded %+v", got, want)
-			}
-		})
+	if leftovers, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(leftovers) != 0 {
+		t.Fatalf("temp files left behind: %v", leftovers)
 	}
 }

@@ -17,13 +17,15 @@
 // to disk: every completed run is serialized as <key>.json in
 // internal/platform's recording format, and a miss consults the directory
 // before executing the backend. A restarted process over the same directory
-// therefore warm-starts — identical requests are disk hits, not misses —
-// and a record/replay run set doubles as a pre-seeded cache.
+// therefore warm-starts — identical requests are disk hits, not misses.
 //
 // Runs carrying a trace sink bypass the cache: their per-event side effects
 // happen outside the measured result, so serving them from memory would
-// silently drop the trace. (Record/replay, which does capture events, lives
-// in internal/platform.)
+// silently drop the trace. With Options.Traces the directory keeps their
+// event streams too, which makes it a record/replay run set: -platform
+// record is such a cache over the simulator, and -platform replay the same
+// cache over platform.NoRecording, so a spec the directory does not hold is
+// an error.
 package runcache
 
 import (
@@ -34,6 +36,7 @@ import (
 	"sync"
 
 	"stellar/internal/flight"
+	"stellar/internal/lustre"
 	"stellar/internal/platform"
 )
 
@@ -151,18 +154,25 @@ type Options struct {
 	// runs are serialized there as <key>.json (platform recording format)
 	// and misses consult it before executing the backend.
 	Dir string
+	// Traces, with Dir, keeps traced runs in the directory too: a recording
+	// with events is replayed into the run's sink, and any other traced run
+	// executes with its events teed into its recording. Without it traced
+	// runs bypass the cache and its directory.
+	Traces bool
 }
 
 // Cache is a content-addressed, singleflight-deduplicated, sharded run
 // cache. It implements platform.Platform, so it stacks over any backend
-// (simulator, recorder, replayer) and under any consumer (core.Engine,
-// experiments, the HTTP serving layer). It is safe for concurrent use.
+// (the simulator, replay's platform.NoRecording) and under any consumer
+// (core.Engine, experiments, the HTTP serving layer). It is safe for
+// concurrent use.
 // Returned results are shared across callers and must be treated as
 // immutable.
 type Cache struct {
 	inner  platform.Platform
 	shards []*shard
 	dir    string
+	traces bool
 }
 
 // New wraps inner in a cache holding at most capacity completed results
@@ -189,7 +199,7 @@ func NewWithOptions(inner platform.Platform, opts Options) *Cache {
 	if opts.Shards > opts.Capacity {
 		opts.Shards = opts.Capacity
 	}
-	c := &Cache{inner: inner, shards: make([]*shard, opts.Shards), dir: opts.Dir}
+	c := &Cache{inner: inner, shards: make([]*shard, opts.Shards), dir: opts.Dir, traces: opts.Traces && opts.Dir != ""}
 	per, extra := opts.Capacity/opts.Shards, opts.Capacity%opts.Shards
 	for i := range c.shards {
 		cap := per
@@ -270,12 +280,16 @@ func (c *Cache) Stats() Stats {
 // run is retried by the next caller, and a coalesced waiter whose own
 // context is still live retries when the flight's owner was cancelled (its
 // cancellation must not poison unrelated callers sharing the cache).
+// Traced runs count as Bypassed whether or not Options.Traces serves them.
 func (c *Cache) Run(ctx context.Context, spec platform.RunSpec) (*platform.RunResult, error) {
 	if spec.Trace != nil {
 		sh := c.shards[0]
 		sh.mu.Lock()
 		sh.stats.Bypassed++
 		sh.mu.Unlock()
+		if c.traces {
+			return c.runTraced(ctx, spec)
+		}
 		return c.inner.Run(ctx, spec)
 	}
 	key := spec.Key()
@@ -324,11 +338,13 @@ func (sh *shard) lookup(key string) (*platform.RunResult, bool) {
 // shard mutex — only the owning flight performs it, so other keys on the
 // shard proceed unblocked.
 func (c *Cache) load(ctx context.Context, spec platform.RunSpec, key string) (res *platform.RunResult, fromDisk bool, err error) {
+	var derr error
 	if c.dir != "" {
 		if err := ctx.Err(); err != nil {
 			return nil, false, err
 		}
-		rec, derr := platform.ReadRecording(c.dir, key)
+		var rec *platform.Recording
+		rec, derr = platform.ReadRecording(c.dir, key)
 		switch {
 		case derr == nil:
 			out := rec.Result
@@ -340,15 +356,75 @@ func (c *Cache) load(ctx context.Context, spec platform.RunSpec, key string) (re
 		}
 	}
 	res, err = c.inner.Run(ctx, spec)
-	if err == nil && c.dir != "" {
-		rec := platform.Recording{Key: key, Workload: spec.Workload.Name, Seed: spec.Seed, Result: *res}
-		if werr := platform.WriteRecording(c.dir, &rec); werr != nil {
-			// Persistence is an accelerator, not a correctness dependency:
-			// a full disk must not fail measurements that already ran.
-			c.diskErr()
-		}
+	if err != nil {
+		return nil, false, surface(err, derr)
 	}
-	return res, false, err
+	if c.dir != "" {
+		c.persist(key, spec, res, nil)
+	}
+	return res, false, nil
+}
+
+// runTraced serves a traced run under Options.Traces. Nothing is memoized
+// or coalesced: every caller's sink must see the whole stream.
+func (c *Cache) runTraced(ctx context.Context, spec platform.RunSpec) (*platform.RunResult, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	key := spec.Key()
+	rec, derr := platform.ReadRecording(c.dir, key)
+	switch {
+	case derr == nil && len(rec.Events) > 0:
+		for _, ev := range rec.Events {
+			spec.Trace.Record(ev)
+		}
+		out := rec.Result
+		return &out, nil
+	case derr == nil:
+		derr = fmt.Errorf("runcache: recording %.12s was made without tracing but the run wants a sink; re-record with tracing", key)
+	case !os.IsNotExist(derr):
+		c.diskErr()
+	}
+	t := &tee{next: spec.Trace}
+	spec.Trace = t
+	res, err := c.inner.Run(ctx, spec)
+	if err != nil {
+		return nil, surface(err, derr)
+	}
+	c.persist(key, spec, res, t.events)
+	return res, nil
+}
+
+// tee forwards a traced run's events to its sink while keeping a copy for
+// the recording.
+type tee struct {
+	next   lustre.TraceSink
+	events []lustre.Event
+}
+
+func (t *tee) Record(ev lustre.Event) {
+	t.events = append(t.events, ev)
+	t.next.Record(ev)
+}
+
+// surface adds why the directory could not serve a run to the backend's
+// error, so a failed replay of a bad recording names the recording, not
+// only the miss. A missing file adds nothing: the miss says it.
+func surface(err, derr error) error {
+	if derr == nil || os.IsNotExist(derr) {
+		return err
+	}
+	return fmt.Errorf("%w (%v)", err, derr)
+}
+
+// persist writes a completed run through to the directory. Persistence is
+// an accelerator, not a correctness dependency: a full disk must not fail
+// measurements that already ran, so a failed write is only counted.
+func (c *Cache) persist(key string, spec platform.RunSpec, res *platform.RunResult, events []lustre.Event) {
+	rec := platform.Recording{Key: key, Workload: spec.Workload.Name, Seed: spec.Seed, Result: *res, Events: events}
+	if err := platform.WriteRecording(c.dir, &rec); err != nil {
+		c.diskErr()
+	}
 }
 
 func (c *Cache) diskErr() {

@@ -13,7 +13,6 @@ import (
 	"stellar/internal/cluster"
 	"stellar/internal/core"
 	"stellar/internal/llm/simllm"
-	"stellar/internal/lustre"
 	"stellar/internal/params"
 	"stellar/internal/platform"
 	"stellar/internal/workload"
@@ -240,29 +239,47 @@ func TestLRUEvictionBounds(t *testing.T) {
 	}
 }
 
+// TestTracedRunsBypassTheCache: without Options.Traces a traced run goes
+// straight to the backend every time, and a persistence directory gets no
+// file for it.
 func TestTracedRunsBypassTheCache(t *testing.T) {
-	backend := newCountingBackend(0)
-	cache := New(backend, 0)
-	spec := testRunSpec(t, 9)
-	spec.Trace = &nullSink{}
-	ctx := context.Background()
-	for i := 0; i < 2; i++ {
-		if _, err := cache.Run(ctx, spec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := backend.callsFor(spec.Key()); got != 2 {
-		t.Fatalf("traced runs were cached: %d backend calls, want 2", got)
-	}
-	s := cache.Stats()
-	if s.Bypassed != 2 || s.Misses != 0 || s.Entries != 0 {
-		t.Fatalf("stats = %+v", s)
+	for _, tc := range []struct {
+		name string
+		dir  bool
+	}{
+		{"memory", false},
+		{"dir", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			backend := newCountingBackend(0)
+			var opts Options
+			if tc.dir {
+				opts.Dir = t.TempDir()
+			}
+			cache := NewWithOptions(backend, opts)
+			spec := testRunSpec(t, 9)
+			spec.Trace = &captureSink{}
+			ctx := context.Background()
+			for i := 0; i < 2; i++ {
+				if _, err := cache.Run(ctx, spec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := backend.callsFor(spec.Key()); got != 2 {
+				t.Fatalf("traced runs were cached: %d backend calls, want 2", got)
+			}
+			s := cache.Stats()
+			if s.Bypassed != 2 || s.Misses != 0 || s.Entries != 0 {
+				t.Fatalf("stats = %+v", s)
+			}
+			if tc.dir {
+				if files, err := os.ReadDir(opts.Dir); err != nil || len(files) != 0 {
+					t.Fatalf("traced runs wrote %d files to the persistence dir (err %v)", len(files), err)
+				}
+			}
+		})
 	}
 }
-
-type nullSink struct{}
-
-func (nullSink) Record(lustre.Event) {}
 
 // TestShardedCapacityBounds: across many distinct specs the aggregate
 // resident count never exceeds the requested capacity, shard capacities sum

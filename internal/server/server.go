@@ -77,10 +77,10 @@ const maxRequestReps = 64
 // the default scale with one worker per core.
 type Options struct {
 	// Cache is the process-wide run cache to serve from, built over the
-	// measurement substrate (simulator, recorder, replayer) with whatever
-	// capacity, shards and persistence directory the caller wants. Nil
-	// means runcache.New(platform.Simulator{}, 0): the live simulator under
-	// a default in-memory cache.
+	// measurement substrate (the simulator, or replay's NoRecording) with
+	// whatever capacity, shards and persistence directory the caller
+	// wants. Nil means runcache.New(platform.Simulator{}, 0): the live
+	// simulator under a default in-memory cache.
 	Cache *runcache.Cache
 
 	Spec  cluster.Spec // zero value = cluster.Default()
