@@ -29,6 +29,7 @@ import (
 	"stellar/internal/manual"
 	"stellar/internal/params"
 	"stellar/internal/platform"
+	"stellar/internal/pool"
 	"stellar/internal/rag"
 	"stellar/internal/runcache"
 	"stellar/internal/search"
@@ -122,7 +123,7 @@ func BenchmarkFig10CaseStudy(b *testing.B) {
 // ----------------------------------------------------------------------
 
 // benchEvaluate measures Engine.Evaluate at the paper's eight-rep protocol
-// with the given worker-pool size. Compare BenchmarkEvaluateSerial with
+// under a budget of parallel. Compare BenchmarkEvaluateSerial with
 // BenchmarkEvaluateParallel: on a multi-core box the parallel variant's
 // wall-clock scales down with cores while producing bit-identical
 // summaries (determinism is asserted in internal/core's tests).
@@ -131,13 +132,14 @@ func benchEvaluate(b *testing.B, parallel int) {
 	eng := core.New(simllm.New(simllm.GPT4o), core.Options{
 		Spec: cluster.Default(), TuningModel: simllm.Claude37,
 		AnalysisModel: simllm.GPT4o, ExtractModel: simllm.GPT4o,
-		Scale: 0.25, Parallel: parallel,
+		Scale: 0.25,
 	})
 	req := core.EvalRequest{Workload: "IOR_16M", Config: params.DefaultConfig(eng.Registry()), Reps: 8, SeedBase: 99}
+	ctx := pool.WithBudget(context.Background(), pool.NewBudget(parallel))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := eng.Evaluate(context.Background(), req); err != nil {
+		if _, _, err := eng.Evaluate(ctx, req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -286,18 +288,18 @@ func BenchmarkServeEvaluateConcurrent(b *testing.B) { benchServeConcurrent(b, 0)
 func BenchmarkServeEvaluateConcurrentSingleShard(b *testing.B) { benchServeConcurrent(b, 1) }
 
 // BenchmarkFig8AblationParallel regenerates Figure 8 with its three
-// independent arms fanned over the worker pool, the experiment-level
-// counterpart to BenchmarkEvaluateParallel.
+// independent arms fanned out under a budget of all cores, the
+// experiment-level counterpart to BenchmarkEvaluateParallel.
 func BenchmarkFig8AblationParallel(b *testing.B) {
 	e, ok := experiments.Lookup("fig8")
 	if !ok {
 		b.Fatal("fig8 experiment missing")
 	}
 	cfg := benchCfg()
-	cfg.Parallel = runtime.GOMAXPROCS(0)
+	ctx := pool.WithBudget(context.Background(), pool.NewBudget(runtime.GOMAXPROCS(0)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(context.Background(), cfg); err != nil {
+		if _, err := e.Run(ctx, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -410,22 +412,24 @@ func BenchmarkAgentTuneMix(b *testing.B) {
 }
 
 // benchTuneSearch runs the adaptive successive-halving search end to end
-// over the given platform stack.
+// over the given platform stack, candidates and reps sharing one budget
+// of 4.
 func benchTuneSearch(b *testing.B, plat platform.Platform) {
 	b.Helper()
 	eng := core.New(simllm.New(simllm.GPT4o), core.Options{
-		Spec: cluster.Default(), Scale: 0.1, Seed: 7, Parallel: 4, Platform: plat,
+		Spec: cluster.Default(), Scale: 0.1, Seed: 7, Platform: plat,
 	})
 	opts := search.Options{
-		Workload: "IOR_16M", Candidates: 8, MaxReps: 3, Seed: 7, Parallel: 4,
+		Workload: "IOR_16M", Candidates: 8, MaxReps: 3, Seed: 7,
 	}
+	ctx := pool.WithBudget(context.Background(), pool.NewBudget(4))
 	eval := func(ctx context.Context, wl string, cfg params.Config, reps int, seedBase int64) ([]float64, stats.Summary, error) {
 		return eng.Evaluate(ctx, core.EvalRequest{Workload: wl, Config: cfg, Reps: reps, SeedBase: seedBase})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := search.Run(context.Background(), eval, opts, nil); err != nil {
+		if _, err := search.Run(ctx, eval, opts, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -161,7 +161,7 @@ func (b *bench) clusterPass(ctx context.Context, n int) error {
 			return err
 		}
 		m := startMeter(nil)
-		got, err := postAll(ctx, b.cfg.Parallel, n, url, body)
+		got, err := postAll(ctx, n, url, body)
 		if err != nil {
 			return fmt.Errorf("pass %d: %w", pass, err)
 		}

@@ -10,7 +10,7 @@
 //	stellar-bench                  # every experiment (-h lists the ids)
 //	stellar-bench -fig fig5        # one experiment
 //	stellar-bench -reps 3          # fewer repetitions for a quick pass
-//	stellar-bench -parallel 8      # fan independent arms/reps over 8 workers
+//	stellar-bench -parallel 8      # run up to 8 arms, candidates and reps at once
 //	stellar-bench -cache -cache-stats
 //	                               # dedup identical trials; print hit/miss counters
 //	stellar-bench -fig fig8 -repeat 2 -cache -json BENCH_fig8.json
@@ -77,6 +77,7 @@ import (
 	"stellar/internal/llm/simllm"
 	"stellar/internal/params"
 	"stellar/internal/platform"
+	"stellar/internal/pool"
 	"stellar/internal/runcache"
 	"stellar/internal/sim"
 )
@@ -139,6 +140,7 @@ type scenario struct {
 // scenario runs under, the flags' run cache, and the records so far.
 type bench struct {
 	cfg        experiments.Config // defaulted; Platform is the flags' stack
+	parallel   int                // -parallel: served Workers and request concurrency
 	cache      *runcache.Cache    // nil without -cache / -cache-dir
 	nodes      int                // -cluster-nodes
 	cacheStats bool               // -cache-stats
@@ -152,7 +154,7 @@ func main() {
 		reps     = flag.Int("reps", 8, "repetitions for averaged measurements")
 		scale    = flag.Float64("scale", 0, "workload scale (0 = default)")
 		seed     = flag.Int64("seed", 7, "base simulation seed")
-		parallel = flag.Int("parallel", 1, "worker pool size for independent arms and repetitions (1 = serial)")
+		parallel = flag.Int("parallel", 1, "concurrent work shared by independent arms, candidates and repetitions; also served workers and request concurrency (1 = serial)")
 		repeat   = flag.Int("repeat", 1, "regenerate each experiment this many times (cache-effectiveness runs)")
 		jsonOut  = flag.String("json", "", "write per-pass wall-clock and cache stats to this file as JSON")
 		serveN   = flag.Int("serve-requests", 0, "also measure stellar-serve throughput: fire this many identical HTTP evaluate requests at an in-process server and record the pass (0 = skip)")
@@ -172,13 +174,14 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	ctx = pool.WithBudget(ctx, pool.NewBudget(*parallel))
 
 	plat, cache, err := pf.Build()
 	if err != nil {
 		fatal(err)
 	}
 	cfg := experiments.Config{
-		Reps: *reps, Scale: *scale, Seed: *seed, Parallel: *parallel, Platform: plat,
+		Reps: *reps, Scale: *scale, Seed: *seed, Platform: plat,
 	}.Defaults()
 	if *serveNode != "" {
 		if err := serveClusterNode(ctx, cfg, cache, *serveNode, *nodePeers); err != nil {
@@ -187,7 +190,7 @@ func main() {
 		return
 	}
 
-	b := &bench{cfg: cfg, cache: cache, nodes: *clusterK, cacheStats: *pf.CacheStats, out: os.Stdout}
+	b := &bench{cfg: cfg, parallel: *parallel, cache: cache, nodes: *clusterK, cacheStats: *pf.CacheStats, out: os.Stdout}
 	table := []scenario{
 		{"sim", *simN, b.simPasses},
 		{"eval", *simN, b.evalPasses},
@@ -388,6 +391,7 @@ func (b *bench) evalPasses(ctx context.Context, n int) error {
 		Scale: 0.25, Platform: platform.Simulator{},
 	})
 	req := core.EvalRequest{Workload: "IOR_16M", Config: params.DefaultConfig(eng.Registry()), Reps: 8, SeedBase: 99}
+	ctx = pool.WithBudget(ctx, nil) // the gate pins a serial evaluation at any -parallel
 	eval := func() error {
 		_, _, err := eng.Evaluate(ctx, req)
 		return err

@@ -10,29 +10,32 @@ import (
 	"stellar/internal/cluster/peering"
 	"stellar/internal/experiments"
 	"stellar/internal/platform"
+	"stellar/internal/pool"
 	"stellar/internal/runcache"
 	"stellar/internal/server"
 )
 
 // testBench is a bench at CI smoke size: two reps at scale 0.05 over the
-// live simulator. A non-empty cacheDir stacks a persistent run cache, as
-// -cache-dir does; otherwise the served scenarios build their own.
+// live simulator, as with -parallel 4. A non-empty cacheDir stacks a
+// persistent run cache, as -cache-dir does; otherwise the served scenarios
+// build their own.
 func testBench(t *testing.T, cacheDir string) *bench {
 	t.Helper()
-	b := &bench{out: io.Discard}
+	b := &bench{parallel: 4, out: io.Discard}
 	var plat platform.Platform = platform.Simulator{}
 	if cacheDir != "" {
 		b.cache = runcache.NewWithOptions(plat, runcache.Options{Dir: cacheDir})
 		plat = b.cache
 	}
-	b.cfg = experiments.Config{Reps: 2, Scale: 0.05, Seed: 7, Parallel: 4, Platform: plat}.Defaults()
+	b.cfg = experiments.Config{Reps: 2, Scale: 0.05, Seed: 7, Platform: plat}.Defaults()
 	return b
 }
 
-// only runs one scenario and returns its single record.
+// only runs one scenario under b's -parallel budget, as main does, and
+// returns its single record.
 func only(t *testing.T, b *bench, run func(context.Context, int) error, n int) benchRecord {
 	t.Helper()
-	if err := run(context.Background(), n); err != nil {
+	if err := run(pool.WithBudget(context.Background(), pool.NewBudget(b.parallel)), n); err != nil {
 		t.Fatal(err)
 	}
 	if len(b.records) != 1 {

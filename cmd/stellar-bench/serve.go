@@ -30,7 +30,7 @@ func (b *bench) httpPass(ctx context.Context, name string, n int, drive func(ctx
 	srv, err := server.New(server.Options{
 		Cache: cache,
 		Scale: b.cfg.Scale, Seed: b.cfg.Seed, Reps: b.cfg.Reps,
-		Workers: b.cfg.Parallel, Parallel: 1,
+		Workers: b.parallel, Parallel: 1,
 		Backlog: n, MaxSweepCells: n, MaxTuneCandidates: n,
 	})
 	if err != nil {
@@ -61,13 +61,13 @@ func (b *bench) httpPass(ctx context.Context, name string, n int, drive func(ctx
 }
 
 // servePass measures tuning-as-a-service throughput: n identical evaluate
-// requests fanned over the worker pool. The first request pays the
+// requests, -parallel at a time. The first request pays the
 // simulations; the rest exercise the shared run cache, so the rate
 // reflects serving overhead at steady state.
 func (b *bench) servePass(ctx context.Context, n int) error {
 	body := evaluateBody(b.cfg)
 	return b.httpPass(ctx, "serve", n, func(ctx context.Context, base string, _ *benchRecord) (int, error) {
-		_, err := postAll(ctx, b.cfg.Parallel, n, func(int) string { return base + "/v1/evaluate" }, body)
+		_, err := postAll(ctx, n, func(int) string { return base + "/v1/evaluate" }, body)
 		return n, err
 	})
 }
@@ -145,13 +145,13 @@ func post(ctx context.Context, url, body string) ([]byte, error) {
 	return data, err
 }
 
-// postAll posts body to url(i) for each i in [0, n) over parallel workers
-// and returns the response they all share: identical requests answer
+// postAll posts body to url(i) for each i in [0, n), as many at once as
+// the ctx's budget allows, and returns the response they all share: identical requests answer
 // byte-identically on any node and from any cache tier, so a difference
 // is an error.
-func postAll(ctx context.Context, parallel, n int, url func(i int) string, body string) ([]byte, error) {
+func postAll(ctx context.Context, n int, url func(i int) string, body string) ([]byte, error) {
 	bodies := make([][]byte, n)
-	err := pool.Map(ctx, parallel, n, func(ctx context.Context, i int) error {
+	err := pool.Map(ctx, n, func(ctx context.Context, i int) error {
 		var err error
 		bodies[i], err = post(ctx, url(i), body)
 		return err

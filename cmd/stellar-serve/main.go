@@ -79,7 +79,7 @@ func main() {
 	flag.IntVar(&cfg.reps, "reps", 8, "default repetitions for requests that omit them")
 	flag.Float64Var(&cfg.scale, "scale", workload.DefaultScale, "workload scale factor (1.0 = paper size)")
 	flag.Int64Var(&cfg.seed, "seed", 7, "default seed base for requests that omit one")
-	flag.IntVar(&cfg.parallel, "parallel", 1, "intra-job worker pool size (repetitions, figure arms)")
+	flag.IntVar(&cfg.parallel, "parallel", 1, "one budget shared by all jobs for their repetitions and figure arms (1 = serial)")
 	flag.BoolVar(&cfg.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/ for live profiling")
 	flag.StringVar(&cfg.peers, "peers", "", "comma-separated fleet membership (host:port per node) enabling cache peering; empty = single node")
 	flag.StringVar(&cfg.self, "self", "", "this node's advertised host:port within -peers (required with -peers; must be dialable by the other nodes)")

@@ -12,8 +12,8 @@
 //	stellar-sim -workload IOR_16M -reps 8 -platform replay   # re-print from the recorded set
 //	stellar-sim -workload IOR_16M -darshan -platform record  # the recording keeps the trace events
 //
-// Repetitions fan out over -parallel workers with per-rep seeds fixed by
-// index, so the printed lines are identical to a serial run. SIGINT
+// Repetitions run -parallel at a time with per-rep seeds fixed by index,
+// so the printed lines are identical to a serial run. SIGINT
 // cancels outstanding repetitions and aborts mid-simulation.
 package main
 
@@ -49,7 +49,7 @@ func main() {
 		scale    = flag.Float64("scale", workload.DefaultScale, "workload scale factor")
 		seed     = flag.Int64("seed", 1, "simulation seed")
 		reps     = flag.Int("reps", 1, "repetitions (distinct seeds)")
-		parallel = flag.Int("parallel", 1, "worker pool size for repetitions (1 = serial)")
+		parallel = flag.Int("parallel", 1, "concurrent repetitions (1 = serial)")
 		dumpLog  = flag.Bool("darshan", false, "print the Darshan dump of the first run")
 	)
 	flag.Var(&sets, "set", "parameter override name=value (repeatable)")
@@ -58,6 +58,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	ctx = pool.WithBudget(ctx, pool.NewBudget(*parallel))
 
 	plat, cache, err := pf.Build()
 	if err != nil {
@@ -93,7 +94,7 @@ func main() {
 		col *darshan.Collector
 	}
 	results := make([]rep, *reps)
-	err = pool.Map(ctx, *parallel, *reps, func(ctx context.Context, i int) error {
+	err = pool.Map(ctx, *reps, func(ctx context.Context, i int) error {
 		var sink lustre.TraceSink
 		var col *darshan.Collector
 		if *dumpLog && i == 0 {

@@ -43,6 +43,7 @@ import (
 	"stellar/internal/llm/simllm"
 	"stellar/internal/lustre"
 	"stellar/internal/params"
+	"stellar/internal/pool"
 	"stellar/internal/search"
 	"stellar/internal/stats"
 	"stellar/internal/workload"
@@ -55,7 +56,7 @@ func main() {
 		scale    = flag.Float64("scale", workload.DefaultScale, "workload scale factor (1.0 = paper size)")
 		attempts = flag.Int("attempts", 5, "maximum configuration attempts")
 		seed     = flag.Int64("seed", 1, "simulation seed")
-		parallel = flag.Int("parallel", 1, "worker pool size for evaluation repetitions (1 = serial)")
+		parallel = flag.Int("parallel", 1, "concurrent runs shared by evaluation repetitions and -tune candidates (1 = serial)")
 		verbose  = flag.Bool("v", false, "print the I/O report, rationale details, and clamp warnings")
 
 		tune      = flag.Bool("tune", false, "run the adaptive successive-halving search over random candidate configs instead of the agentic tuning loop")
@@ -71,6 +72,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	ctx = pool.WithBudget(ctx, pool.NewBudget(*parallel))
 
 	plat, cache, err := pf.Build()
 	if err != nil {
@@ -92,7 +94,6 @@ func main() {
 		Scale:         *scale,
 		MaxAttempts:   *attempts,
 		Seed:          *seed,
-		Parallel:      *parallel,
 		Platform:      plat,
 		// The engine-wide plan: the agentic loop's trials and the plain
 		// search both measure on the degraded cluster.
@@ -103,7 +104,7 @@ func main() {
 	}
 
 	if *tune {
-		runSearch(ctx, eng, *name, *tuneCands, *tuneReps, *seed, *parallel, *objective, plan, *faultVariants)
+		runSearch(ctx, eng, *name, *tuneCands, *tuneReps, *seed, *objective, plan, *faultVariants)
 		if cache != nil && *pf.CacheStats {
 			fmt.Printf("run cache [%s]: %s\n", eng.Platform().Name(), cache.Stats())
 		}
@@ -158,7 +159,7 @@ func main() {
 // candidate is measured on the clean cluster plus variants faulted siblings
 // of the plan, and scored on its worst degraded variant alongside its clean
 // mean.
-func runSearch(ctx context.Context, eng *core.Engine, name string, candidates, reps int, seed int64, parallel int, objective string, plan lustre.FaultPlan, variants int) {
+func runSearch(ctx context.Context, eng *core.Engine, name string, candidates, reps int, seed int64, objective string, plan lustre.FaultPlan, variants int) {
 	spec := cluster.Default()
 	objSpec := search.ObjectiveSpec{Kind: objective}
 	if objective == "composite" {
@@ -189,7 +190,6 @@ func runSearch(ctx context.Context, eng *core.Engine, name string, candidates, r
 		Candidates: candidates,
 		MaxReps:    reps,
 		Seed:       seed,
-		Parallel:   parallel,
 		Objective:  obj,
 		Registry:   eng.Registry(),
 		Env:        params.SystemEnv(int64(spec.MemoryMBPerNode), int64(spec.OSTCount), nil),

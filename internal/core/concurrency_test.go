@@ -11,10 +11,11 @@ import (
 	"stellar/internal/cluster"
 	"stellar/internal/llm"
 	"stellar/internal/params"
+	"stellar/internal/pool"
 )
 
 // TestEvaluateParallelMatchesSerial is the determinism contract of the
-// concurrent execution layer: fanning the repetitions over a worker pool
+// concurrent execution layer: fanning the repetitions out under a budget
 // must produce a summary bit-identical to the strict serial protocol,
 // because per-rep seeds are fixed by index.
 func TestEvaluateParallelMatchesSerial(t *testing.T) {
@@ -26,8 +27,8 @@ func TestEvaluateParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		parEng := testEngine(t, func(o *Options) { o.Parallel = workers })
-		_, par, err := parEng.Evaluate(context.Background(), req)
+		parEng := testEngine(t, nil)
+		_, par, err := parEng.Evaluate(pool.WithBudget(context.Background(), pool.NewBudget(workers)), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,8 +77,8 @@ func TestTuneCancellationReturnsPromptly(t *testing.T) {
 // TestEvaluateCancellation checks the pool path too: a cancelled context
 // aborts the repetitions instead of running them all.
 func TestEvaluateCancellation(t *testing.T) {
-	eng := testEngine(t, func(o *Options) { o.Parallel = 2 })
-	ctx, cancel := context.WithCancel(context.Background())
+	eng := testEngine(t, nil)
+	ctx, cancel := context.WithCancel(pool.WithBudget(context.Background(), pool.NewBudget(2)))
 	cancel()
 	_, _, err := eng.Evaluate(ctx, EvalRequest{Workload: "IOR_16M", Config: params.DefaultConfig(eng.Registry()), Reps: 8, SeedBase: 42})
 	if !errors.Is(err, context.Canceled) {

@@ -50,11 +50,6 @@ type Options struct {
 	// EvalRequest.Faults.
 	Faults lustre.FaultPlan
 
-	// Parallel bounds the worker pool Evaluate fans its repetitions over.
-	// <= 1 runs strictly serially; higher values scale with cores. Per-rep
-	// seeds are fixed by index, so results are bit-identical either way.
-	Parallel int
-
 	// Platform is the measurement backend every trial executes on. Nil
 	// selects the in-process Lustre simulator. Passing a shared
 	// runcache.Cache (over any backend) deduplicates identical trials
@@ -234,11 +229,11 @@ type EvalRequest struct {
 // Evaluate measures req.Config over req.Reps repetitions, as the paper's
 // eight-run averaging does, and returns the per-rep wall times (owned by the
 // caller) with their summary. The workload and the rendered config snapshot
-// are built once and shared by every rep; reps fan out over a pool bounded
-// by Options.Parallel. A rep's seed depends only on its index, so walls,
-// summaries and run-cache keys are bit-identical to a serial run or to
-// one-rep calls. The figures, the search, /v1/evaluate, /v1/sweeps and
-// /v1/tune all measure through here.
+// are built once and shared by every rep; reps fan out under the ctx's
+// pool.Budget, serially without one. A rep's seed depends only on its
+// index, so walls, summaries and run-cache keys are bit-identical to a
+// serial run or to one-rep calls. The figures, the search, /v1/evaluate,
+// /v1/sweeps and /v1/tune all measure through here.
 func (e *Engine) Evaluate(ctx context.Context, req EvalRequest) ([]float64, stats.Summary, error) {
 	faults := e.opts.Faults
 	if req.Faults != nil {
@@ -256,7 +251,7 @@ func (e *Engine) Evaluate(ctx context.Context, req EvalRequest) ([]float64, stat
 		return nil, stats.Summary{}, err
 	}
 	walls := make([]float64, req.Reps)
-	err = pool.Map(ctx, e.opts.Parallel, req.Reps, func(ctx context.Context, i int) error {
+	err = pool.Map(ctx, req.Reps, func(ctx context.Context, i int) error {
 		res, err := e.plat.Run(ctx, platform.RunSpec{
 			Spec: e.opts.Spec, Workload: w, Config: snap,
 			Seed: req.SeedBase + int64(i)*101, Faults: faults,

@@ -8,6 +8,7 @@ import (
 	"stellar/internal/lustre"
 	"stellar/internal/params"
 	"stellar/internal/platform"
+	"stellar/internal/pool"
 	"stellar/internal/runcache"
 	"stellar/internal/workload"
 )
@@ -62,13 +63,12 @@ func TestSharedWorkloadIsNotMutatedByUse(t *testing.T) {
 // TestWarmEvaluateBatchAllocs pins the cost of a warm hit: once every rep
 // of an 8-rep batch is in the run cache, the whole Evaluate — shared
 // workload lookup, config snapshot, eight keys and cache hits, summary —
-// stays within 100 allocations, fanned out over a worker pool as the
+// stays within 100 allocations, fanned out under a budget of 4 as the
 // serving path does.
 func TestWarmEvaluateBatchAllocs(t *testing.T) {
-	ctx := context.Background()
+	ctx := pool.WithBudget(context.Background(), pool.NewBudget(4))
 	eng := testEngine(t, func(o *Options) {
 		o.Platform = runcache.New(platform.Simulator{}, 0)
-		o.Parallel = 4
 	})
 	req := EvalRequest{Workload: "IOR_16M", Config: params.DefaultConfig(eng.Registry()), Reps: 8, SeedBase: 99}
 	evaluate := func() {

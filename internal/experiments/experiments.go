@@ -3,6 +3,11 @@
 // §5.7 cost table, and an extra iteration-cost comparison against
 // traditional autotuners. Each experiment returns a renderable Table (or
 // timeline text) whose rows mirror the paper's series.
+//
+// Arms (workloads, ablation variants, models, sweep points) and the reps
+// and candidates inside them fan out under the ctx's pool.Budget. Tables
+// are bit-identical at any budget: seeds are fixed by index and rows are
+// assembled in input order.
 package experiments
 
 import (
@@ -23,14 +28,6 @@ type Config struct {
 	Scale float64 // workload scale (DefaultScale reproduces the documented reduction)
 	Reps  int     // repetitions for averaged measurements (paper: 8)
 	Seed  int64
-
-	// Parallel bounds the worker pool independent experiment arms
-	// (workloads, ablation variants, tuning-agent models, sweep points)
-	// and evaluation repetitions fan out over. <= 1 reproduces the strict
-	// serial protocol; any value yields bit-identical tables because every
-	// arm's seeds are fixed by its index and rows are assembled in input
-	// order.
-	Parallel int
 
 	// Platform is the measurement backend every engine in the experiment
 	// executes trials on. Nil selects the live simulator per engine. A
@@ -59,16 +56,6 @@ func (c Config) Defaults() Config {
 	return c
 }
 
-// arm returns the config an individual fanned-out experiment arm runs
-// under: Parallel 1, because the arm itself already occupies one worker of
-// the figure-level pool. Without this, engines inside arms would fan their
-// Evaluate repetitions over a second Parallel-sized pool, squaring the
-// effective concurrency the flag promises to bound.
-func (c Config) arm() Config {
-	c.Parallel = 1
-	return c
-}
-
 // newEngine builds a STELLAR engine with the paper's model assignment
 // (Claude-3.7-Sonnet tuning, GPT-4o analysis and extraction).
 func newEngine(c Config, tuningModel string, disableDescs, disableAnalysis bool) *core.Engine {
@@ -83,7 +70,6 @@ func newEngine(c Config, tuningModel string, disableDescs, disableAnalysis bool)
 		Scale:               c.Scale,
 		Seed:                c.Seed,
 		MaxAttempts:         5,
-		Parallel:            c.Parallel,
 		Platform:            c.Platform,
 		DisableDescriptions: disableDescs,
 		DisableAnalysis:     disableAnalysis,

@@ -30,7 +30,7 @@ import (
 // memory and compares against STELLAR's RAG extraction (driven by the older
 // GPT-4o, as in the paper), scoring both definition and range against the
 // platform ground truth. The three from-memory probes are independent, so
-// they fan out over the worker pool.
+// they fan out under the ctx's budget.
 func Fig2Hallucination(ctx context.Context, c Config) (*Table, error) {
 	c = c.Defaults()
 	reg := params.Lustre()
@@ -53,7 +53,7 @@ func Fig2Hallucination(ctx context.Context, c Config) (*Table, error) {
 	}
 
 	models := []string{simllm.GPT45, simllm.Gemini25, simllm.Claude37}
-	rows, err := pool.Values(ctx, c.Parallel, len(models), func(ctx context.Context, i int) ([]string, error) {
+	rows, err := pool.Values(ctx, len(models), func(ctx context.Context, i int) ([]string, error) {
 		model := models[i]
 		client := simllm.New(model)
 		resp, err := client.Complete(ctx, &llm.Request{
@@ -142,9 +142,9 @@ func Fig5TuningPerformance(ctx context.Context, c Config) (*Table, error) {
 	}
 	reg := params.Lustre()
 	names := workload.Benchmarks()
-	rows, err := pool.Values(ctx, c.Parallel, len(names), func(ctx context.Context, i int) ([]string, error) {
+	rows, err := pool.Values(ctx, len(names), func(ctx context.Context, i int) ([]string, error) {
 		name := names[i]
-		eng := newEngine(c.arm(), "", false, false)
+		eng := newEngine(c, "", false, false)
 		res, err := eng.Tune(ctx, name)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig5 %s: %w", name, err)
@@ -201,8 +201,8 @@ func Fig6RuleSetInterpolation(ctx context.Context, c Config) (*Table, error) {
 	// Phase 1a: the "no rules" condition uses a fresh engine per workload
 	// (the first workload of each context class would otherwise already
 	// interpolate); the arms are independent.
-	noRules, err := pool.Values(ctx, c.Parallel, len(names), func(ctx context.Context, i int) (*core.TuneResult, error) {
-		fresh := newEngine(c.arm(), "", false, false)
+	noRules, err := pool.Values(ctx, len(names), func(ctx context.Context, i int) (*core.TuneResult, error) {
+		fresh := newEngine(c, "", false, false)
 		res, err := fresh.Tune(ctx, names[i])
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig6 no-rules %s: %w", names[i], err)
@@ -224,8 +224,8 @@ func Fig6RuleSetInterpolation(ctx context.Context, c Config) (*Table, error) {
 	ruleJSON := acc.Rules().JSON()
 
 	// Phase 2: re-tune each benchmark with the full accumulated set.
-	withRes, err := pool.Values(ctx, c.Parallel, len(names), func(ctx context.Context, i int) (*core.TuneResult, error) {
-		withEng := newEngine(c.arm(), "", false, false)
+	withRes, err := pool.Values(ctx, len(names), func(ctx context.Context, i int) (*core.TuneResult, error) {
+		withEng := newEngine(c, "", false, false)
 		set, err := rules.Parse(ruleJSON)
 		if err != nil {
 			return nil, err
@@ -288,14 +288,14 @@ func Fig7RuleSetExtrapolation(ctx context.Context, c Config) (*Table, error) {
 	ruleJSON := acc.Rules().JSON()
 
 	apps := workload.RealApps()
-	rows, err := pool.Values(ctx, c.Parallel, len(apps), func(ctx context.Context, i int) ([][]string, error) {
+	rows, err := pool.Values(ctx, len(apps), func(ctx context.Context, i int) ([][]string, error) {
 		name := apps[i]
-		fresh := newEngine(c.arm(), "", false, false)
+		fresh := newEngine(c, "", false, false)
 		without, err := fresh.Tune(ctx, name)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig7 %s without rules: %w", name, err)
 		}
-		withEng := newEngine(c.arm(), "", false, false)
+		withEng := newEngine(c, "", false, false)
 		set, err := rules.Parse(ruleJSON)
 		if err != nil {
 			return nil, err
@@ -344,9 +344,9 @@ func Fig8Ablation(ctx context.Context, c Config) (*Table, error) {
 		{"No Descriptions", true, false},
 		{"No Analysis", false, true},
 	}
-	rows, err := pool.Values(ctx, c.Parallel, len(variants), func(ctx context.Context, i int) ([]string, error) {
+	rows, err := pool.Values(ctx, len(variants), func(ctx context.Context, i int) ([]string, error) {
 		v := variants[i]
-		eng := newEngine(c.arm(), "", v.noDesc, v.noAnaly)
+		eng := newEngine(c, "", v.noDesc, v.noAnaly)
 		res, err := eng.Tune(ctx, "MDWorkbench_8K")
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig8 %s: %w", v.name, err)
@@ -379,9 +379,9 @@ func Fig9ModelComparison(ctx context.Context, c Config) (*Table, error) {
 		Columns: []string{"tuning agent", "iterations", "speedup series", "best"},
 	}
 	models := []string{simllm.Claude37, simllm.GPT4o, simllm.Llama3170}
-	rows, err := pool.Values(ctx, c.Parallel, len(models), func(ctx context.Context, i int) ([]string, error) {
+	rows, err := pool.Values(ctx, len(models), func(ctx context.Context, i int) ([]string, error) {
 		model := models[i]
-		eng := newEngine(c.arm(), model, false, false)
+		eng := newEngine(c, model, false, false)
 		res, err := eng.Tune(ctx, "IOR_16M")
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig9 %s: %w", model, err)

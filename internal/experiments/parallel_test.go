@@ -3,10 +3,12 @@ package experiments
 import (
 	"context"
 	"testing"
+
+	"stellar/internal/pool"
 )
 
 // TestParallelRegenerationBitIdentical is the acceptance contract of the
-// concurrent experiments layer: regenerating a figure with Parallel > 1
+// concurrent experiments layer: regenerating a figure under a budget > 1
 // must render byte-for-byte the same table as the strict serial protocol,
 // for identical seeds. Fig8 covers engine-arm fan-out, Fig9 covers
 // model-arm fan-out, and Fig2 covers raw model-probe fan-out.
@@ -25,9 +27,7 @@ func TestParallelRegenerationBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s serial: %v", f.name, err)
 		}
-		parCfg := unitCfg()
-		parCfg.Parallel = 4
-		parTbl, err := f.run(context.Background(), parCfg)
+		parTbl, err := f.run(pool.WithBudget(context.Background(), pool.NewBudget(4)), unitCfg())
 		if err != nil {
 			t.Fatalf("%s parallel: %v", f.name, err)
 		}

@@ -28,7 +28,6 @@ func TuningSearch(ctx context.Context, c Config) (*Table, error) {
 		MinReps:    1,
 		MaxReps:    c.Reps,
 		Seed:       c.Seed,
-		Parallel:   c.Parallel,
 		Registry:   eng.Registry(),
 		Env: params.SystemEnv(
 			int64(c.Spec.MemoryMBPerNode), int64(c.Spec.OSTCount), nil),

@@ -19,7 +19,7 @@ import (
 // choices sit on the quality plateau, and that starving retrieval genuinely
 // loses parameters (the honesty property of the pipeline). Every
 // (chunk size, top-K) grid point is an independent extraction and fans out
-// over the worker pool.
+// under the ctx's budget.
 func RetrievalSweep(ctx context.Context, c Config) (*Table, error) {
 	c = c.Defaults()
 	reg := params.Lustre()
@@ -37,7 +37,7 @@ func RetrievalSweep(ctx context.Context, c Config) (*Table, error) {
 			grid = append(grid, point{chunkTokens, topK})
 		}
 	}
-	rows, err := pool.Values(ctx, c.Parallel, len(grid), func(ctx context.Context, i int) ([]string, error) {
+	rows, err := pool.Values(ctx, len(grid), func(ctx context.Context, i int) ([]string, error) {
 		p := grid[i]
 		chunks := rag.ChunkText(text, p.chunkTokens, 20)
 		index := rag.NewIndex(rag.NewHashedTFIDF(384, chunks), chunks)

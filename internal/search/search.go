@@ -230,9 +230,6 @@ type Options struct {
 	// Seed drives candidate sampling and is the evaluation seed base. The
 	// search result is a pure function of (Options, platform behaviour).
 	Seed int64
-	// Parallel bounds the per-round evaluation fan-out (default 1, serial).
-	// Any value produces the identical result; only wall-clock changes.
-	Parallel int
 	// Objective ranks candidates (nil = mean wall time).
 	Objective Objective
 	// Registry is the parameter table to sample from (nil = params.Lustre()).
@@ -254,9 +251,6 @@ func (o Options) WithDefaults() Options {
 	}
 	if o.MaxReps < o.MinReps {
 		o.MaxReps = max(o.MinReps, 8)
-	}
-	if o.Parallel < 1 {
-		o.Parallel = 1
 	}
 	if o.Objective == nil {
 		o.Objective = meanObjective{}
@@ -340,14 +334,24 @@ func RoundsFor(opts Options) int {
 	alive, reps, rounds := opts.Candidates, opts.MinReps, 0
 	for {
 		rounds++
-		if alive > 1 {
-			alive = (alive + opts.Eta - 1) / opts.Eta
-		}
+		alive = cull(alive, opts.Eta)
 		if alive == 1 && reps >= opts.MaxReps {
 			return rounds
 		}
-		reps = min(reps*opts.Eta, opts.MaxReps)
+		reps = promote(reps, opts.Eta, opts.MaxReps)
 	}
+}
+
+// cull is ceil(alive/eta) for alive >= 1, without the overflow of
+// (alive+eta-1)/eta at huge eta.
+func cull(alive, eta int) int { return 1 + (alive-1)/eta }
+
+// promote is min(reps*eta, maxReps), saturating instead of overflowing.
+func promote(reps, eta, maxReps int) int {
+	if reps > maxReps/eta {
+		return maxReps
+	}
+	return reps * eta
 }
 
 // Run executes the search. onRound, when non-nil, observes each completed
@@ -378,10 +382,10 @@ func Run(ctx context.Context, eval EvalFunc, opts Options, onRound func(Round)) 
 
 	reps := opts.MinReps
 	for round := 1; ; round++ {
-		// Measure every surviving candidate at this round's precision. The
-		// fan-out is index-sloted (pool.Values), so results land in input
-		// order regardless of scheduling.
-		scored, err := pool.Values(ctx, opts.Parallel, len(alive), func(ctx context.Context, i int) (Candidate, error) {
+		// Measure every surviving candidate at this round's precision, under
+		// the ctx's pool.Budget. The fan-out is index-sloted (pool.Values),
+		// so results land in input order regardless of scheduling.
+		scored, err := pool.Values(ctx, len(alive), func(ctx context.Context, i int) (Candidate, error) {
 			idx := alive[i]
 			walls, sum, err := eval(ctx, opts.Workload, pool0[idx], reps, opts.Seed)
 			if err != nil {
@@ -412,10 +416,7 @@ func Run(ctx context.Context, eval EvalFunc, opts Options, onRound func(Round)) 
 			return scored[a].Index < scored[b].Index
 		})
 
-		keep := len(scored)
-		if keep > 1 {
-			keep = (len(scored) + opts.Eta - 1) / opts.Eta
-		}
+		keep := cull(len(scored), opts.Eta)
 		survivors := make([]int, keep)
 		for i := 0; i < keep; i++ {
 			survivors[i] = scored[i].Index
@@ -437,7 +438,7 @@ func Run(ctx context.Context, eval EvalFunc, opts Options, onRound func(Round)) 
 			res.Winner = scored[0]
 			break
 		}
-		reps = min(reps*opts.Eta, opts.MaxReps)
+		reps = promote(reps, opts.Eta, opts.MaxReps)
 	}
 
 	// Baseline at the winner's precision: if the defaults (candidate 0)

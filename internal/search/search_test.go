@@ -4,14 +4,17 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"stellar/internal/cluster"
 	"stellar/internal/core"
 	"stellar/internal/llm/simllm"
 	"stellar/internal/params"
 	"stellar/internal/platform"
+	"stellar/internal/pool"
 	"stellar/internal/runcache"
 	"stellar/internal/stats"
 )
@@ -81,6 +84,62 @@ func TestRunHalvesBudget(t *testing.T) {
 	last := res.Rounds[len(res.Rounds)-1]
 	if len(last.Survivors) != 1 || last.Survivors[0] != res.Winner.Index {
 		t.Errorf("final survivors %v do not match winner %d", last.Survivors, res.Winner.Index)
+	}
+}
+
+// TestHugeEtaTerminates: at an eta where ceil(alive/eta) and reps*eta
+// overflow int, RoundsFor and Run must still return — one culling round,
+// then the winner at full precision.
+func TestHugeEtaTerminates(t *testing.T) {
+	opts := Options{Workload: "IOR_16M", Candidates: 8, Eta: math.MaxInt64, MinReps: 2, MaxReps: 8, Seed: 1}
+	type outcome struct {
+		rounds int
+		res    *Result
+		err    error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		rounds := RoundsFor(opts)
+		res, err := Run(context.Background(), fakeEval, opts, nil)
+		done <- outcome{rounds, res, err}
+	}()
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		if o.rounds != 2 || len(o.res.Rounds) != 2 {
+			t.Fatalf("RoundsFor = %d, Run ran %d rounds, want 2 and 2", o.rounds, len(o.res.Rounds))
+		}
+		if got := o.res.Rounds[0]; got.Evaluated != 8 || len(got.Survivors) != 1 || got.Reps != 2 {
+			t.Fatalf("round 1 = %+v, want 8 candidates at 2 reps culled to 1", got)
+		}
+		if o.res.Winner.Reps != 8 {
+			t.Fatalf("winner measured at %d reps, want 8", o.res.Winner.Reps)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("RoundsFor or Run with eta = MaxInt64 did not return")
+	}
+}
+
+// TestCullAndPromoteMatchTheCeiling: wherever (alive+eta-1)/eta and
+// reps*eta fit in an int, the overflow-safe forms give exactly their values.
+func TestCullAndPromoteMatchTheCeiling(t *testing.T) {
+	for eta := 2; eta <= 17; eta++ {
+		for n := 1; n <= 130; n++ {
+			want := n
+			if n > 1 {
+				want = (n + eta - 1) / eta
+			}
+			if got := cull(n, eta); got != want {
+				t.Fatalf("cull(%d, %d) = %d, want %d", n, eta, got, want)
+			}
+			for maxReps := n; maxReps <= n+70; maxReps += 7 {
+				if got, want := promote(n, eta, maxReps), min(n*eta, maxReps); got != want {
+					t.Fatalf("promote(%d, %d, %d) = %d, want %d", n, eta, maxReps, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -306,14 +365,14 @@ func TestSearchThroughSharedCache(t *testing.T) {
 	})
 	opts := Options{
 		Workload: "IOR_16M", Candidates: 6, Eta: 2,
-		MinReps: 1, MaxReps: 4, Seed: 19, Parallel: 4,
+		MinReps: 1, MaxReps: 4, Seed: 19,
 	}
 
 	run := func() (*Result, string) {
 		eval := func(ctx context.Context, wl string, cfg params.Config, reps int, seedBase int64) ([]float64, stats.Summary, error) {
 			return eng.Evaluate(ctx, core.EvalRequest{Workload: wl, Config: cfg, Reps: reps, SeedBase: seedBase})
 		}
-		res, err := Run(context.Background(), eval, opts, nil)
+		res, err := Run(pool.WithBudget(context.Background(), pool.NewBudget(4)), eval, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -90,8 +90,8 @@ type Options struct {
 
 	// Workers bounds concurrently executing jobs (0 = one per core);
 	// Backlog bounds jobs waiting for a worker (0 = 64; beyond it requests
-	// fail fast with 429). Parallel is the intra-job fan-out each running
-	// job may use for its repetitions and figure arms (0 = 1, serial).
+	// fail fast with 429). Parallel sizes the one pool.Budget every running
+	// job shares (0 = 1, serial): at most Workers+Parallel-1 simulations.
 	Workers  int
 	Backlog  int
 	Parallel int
@@ -149,9 +149,6 @@ func (o Options) withDefaults() Options {
 	if o.Backlog == 0 {
 		o.Backlog = 64
 	}
-	if o.Parallel == 0 {
-		o.Parallel = 1
-	}
 	if o.MaxSweepCells == 0 {
 		o.MaxSweepCells = 1024
 	}
@@ -164,14 +161,15 @@ func (o Options) withDefaults() Options {
 // Server is the tuning-as-a-service state: one shared cache-backed
 // platform, one engine, one bounded job queue, and the job registry.
 type Server struct {
-	opts  Options
-	cache *runcache.Cache
-	plat  platform.Platform // what the engine runs on: the cache, or the fleet over it
-	fleet *peering.Fleet    // nil when peering is not configured
-	eng   *core.Engine
-	queue *pool.Queue
-	jobs  *jobStore
-	start time.Time
+	opts   Options
+	cache  *runcache.Cache
+	plat   platform.Platform // what the engine runs on: the cache, or the fleet over it
+	fleet  *peering.Fleet    // nil when peering is not configured
+	eng    *core.Engine
+	queue  *pool.Queue
+	budget *pool.Budget // Parallel; replaces any budget the Serve ctx carries
+	jobs   *jobStore
+	start  time.Time
 
 	// baseCtx parents every asynchronous job, so Close cancels them all;
 	// synchronous evaluations are parented by their request contexts
@@ -212,7 +210,6 @@ func New(opts Options) (*Server, error) {
 		ExtractModel:  simllm.GPT4o,
 		Scale:         opts.Scale,
 		Seed:          opts.Seed,
-		Parallel:      opts.Parallel,
 		Platform:      plat,
 	})
 	ctx, stop := context.WithCancel(context.Background())
@@ -223,6 +220,7 @@ func New(opts Options) (*Server, error) {
 		fleet:   fleet,
 		eng:     eng,
 		queue:   pool.NewQueue(opts.Workers, opts.Backlog, opts.TenantQuota),
+		budget:  pool.NewBudget(opts.Parallel),
 		jobs:    newJobStore(),
 		start:   time.Now(),
 		baseCtx: ctx,
@@ -441,7 +439,7 @@ func (s *Server) measure(ctx context.Context, tenant string, mode pool.Mode, req
 				runErr = fmt.Errorf("evaluation panicked: %v", r)
 			}
 		}()
-		walls, sum, runErr = s.eng.Evaluate(ctx, req)
+		walls, sum, runErr = s.eng.Evaluate(pool.WithBudget(ctx, s.budget), req)
 	})
 	if err != nil {
 		return nil, stats.Summary{}, err
@@ -501,7 +499,6 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		Scale:    s.opts.Scale,
 		Reps:     s.opts.Reps,
 		Seed:     s.opts.Seed,
-		Parallel: s.opts.Parallel,
 		Platform: s.cache,
 	}
 	if req.Reps != 0 {
@@ -534,7 +531,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 					err = fmt.Errorf("experiment panicked: %v", r)
 				}
 			}()
-			return experiments.Run(ctx, id, cfg)
+			return experiments.Run(pool.WithBudget(ctx, s.budget), id, cfg)
 		}()
 		// The delta is attributed to this job; with concurrent jobs on one
 		// shared cache it is approximate, which /v1/stats documents.

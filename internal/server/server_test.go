@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -941,6 +942,13 @@ func TestSharedCacheAcrossServers(t *testing.T) {
 func tuneLines(t *testing.T, url, body string) (TuneHeader, []TuneRound, TuneFooter) {
 	t.Helper()
 	resp, data := post(t, url+"/v1/tune", body)
+	return parseTune(t, resp, data)
+}
+
+// parseTune splits a complete tune response into its header, round lines,
+// and footer.
+func parseTune(t *testing.T, resp *http.Response, data []byte) (TuneHeader, []TuneRound, TuneFooter) {
+	t.Helper()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("tune: HTTP %d: %s", resp.StatusCode, data)
 	}
@@ -1054,6 +1062,78 @@ func TestTuneSearchEndToEnd(t *testing.T) {
 	}
 	if st := s.cache.Stats(); st.Misses != footer.Cache.Misses {
 		t.Fatalf("process-wide misses %d != first-search misses %d", st.Misses, footer.Cache.Misses)
+	}
+}
+
+// TestTuneHugeEtaEndsWithFooter: eta at the top of int64 is a valid eta
+// (>= 2); the search must cull to one candidate in one round, measure it at
+// max_reps in a second, and stream its footer instead of spinning forever.
+func TestTuneHugeEtaEndsWithFooter(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2, Backlog: 32})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	body := `{"workload":"IOR_16M","candidates":4,"max_reps":2,"eta":9223372036854775807}`
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/tune", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("tune with eta = MaxInt64: %v", err)
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("tune with eta = MaxInt64: %v", err)
+	}
+	header, rounds, footer := parseTune(t, resp, data)
+	if header.Eta != math.MaxInt64 {
+		t.Fatalf("header eta = %d", header.Eta)
+	}
+	if footer.Error != "" || footer.Cancelled || footer.Rounds != 2 || len(rounds) != 2 || footer.Winner.Reps != 2 {
+		t.Fatalf("footer = %+v after %d rounds, want 2 rounds and a winner at 2 reps", footer, len(rounds))
+	}
+}
+
+// TestTuneKeepsWorkersBusy: a search's per-request budget parks every
+// candidate of a round in the queue at once, so one /v1/tune keeps both
+// workers of a two-worker server simulating even though the server's own
+// budget (Parallel 1) runs each measurement's reps serially.
+func TestTuneKeepsWorkersBusy(t *testing.T) {
+	gp := &gatedPlatform{started: make(chan struct{}, 8), release: make(chan struct{})}
+	_, ts := newTestServer(t, Options{Cache: runcache.New(gp, 0), Workers: 2, Backlog: 32})
+	type reply struct {
+		resp *http.Response
+		data []byte
+		err  error
+	}
+	done := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/tune", "application/json",
+			strings.NewReader(`{"workload":"IOR_16M","candidates":4,"max_reps":2,"seed":5}`))
+		if err != nil {
+			done <- reply{err: err}
+			return
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		done <- reply{resp, data, err}
+	}()
+	for i := 0; i < 2; i++ {
+		select {
+		case <-gp.started:
+		case <-time.After(5 * time.Second):
+			close(gp.release)
+			t.Fatalf("only %d simulation(s) in flight for one search on a two-worker server, want 2", i)
+		}
+	}
+	close(gp.release)
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if _, _, footer := parseTune(t, r.resp, r.data); footer.Error != "" || footer.Cancelled {
+		t.Fatalf("footer = %+v", footer)
 	}
 }
 

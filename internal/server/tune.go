@@ -192,7 +192,6 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		MinReps:    req.MinReps,
 		MaxReps:    maxReps,
 		Seed:       seed,
-		Parallel:   candidates, // queue workers are the real execution bound
 		Objective:  objective,
 		Registry:   s.eng.Registry(),
 		Env: params.SystemEnv(
@@ -243,7 +242,9 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 
-	res, runErr := search.Run(rctx, eval, opts, func(rd search.Round) {
+	// A budget of one goroutine per candidate parks every candidate of a
+	// round in the queue at once: queue workers are the real bound.
+	res, runErr := search.Run(pool.WithBudget(rctx, pool.NewBudget(candidates)), eval, opts, func(rd search.Round) {
 		now := s.cache.Stats()
 		writeLine(TuneRound{Round: rd, Cache: now.Delta(last)})
 		last = now
