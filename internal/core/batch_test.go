@@ -3,10 +3,13 @@ package core
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	"stellar/internal/lustre"
 	"stellar/internal/params"
+	"stellar/internal/platform"
+	"stellar/internal/pool"
 )
 
 // TestEvaluateBatchMatchesPerRepEvaluate proves the batched path — one
@@ -115,5 +118,51 @@ func TestEvaluateBatchFaults(t *testing.T) {
 	invalid := EvalRequest{Workload: "IOR_16M", Config: cfg, Reps: 1, SeedBase: 1, Faults: &lustre.FaultPlan{Severity: 2}}
 	if _, _, err := testEngine(t, nil).Evaluate(ctx, invalid); err == nil {
 		t.Fatal("invalid fault plan accepted")
+	}
+}
+
+// keyCheckingPlatform asserts every run it sees keys exactly like a spec
+// built afresh from the same fields, which carries no key base, before
+// simulating it.
+type keyCheckingPlatform struct {
+	t    *testing.T
+	mu   sync.Mutex
+	keys map[string]bool
+}
+
+func (*keyCheckingPlatform) Name() string { return "key-checking(sim)" }
+
+func (p *keyCheckingPlatform) Run(ctx context.Context, spec platform.RunSpec) (*platform.RunResult, error) {
+	fresh := platform.RunSpec{Spec: spec.Spec, Workload: spec.Workload, Config: spec.Config, Seed: spec.Seed, Faults: spec.Faults}
+	got, want := spec.Key(), fresh.Key()
+	if got != want {
+		p.t.Errorf("seed %d keyed %s, its full key is %s", spec.Seed, got, want)
+	}
+	p.mu.Lock()
+	p.keys[got] = true
+	p.mu.Unlock()
+	return platform.Simulator{}.Run(ctx, spec)
+}
+
+// TestEvaluateKeysMatchFullKeys: the reps of an Evaluate share one key
+// base, and every rep still keys byte for byte like a spec keyed in full,
+// clean or faulted, serial or fanned out, each rep under its own key.
+func TestEvaluateKeysMatchFullKeys(t *testing.T) {
+	kp := &keyCheckingPlatform{t: t, keys: map[string]bool{}}
+	eng := testEngine(t, func(o *Options) { o.Platform = kp })
+	cfg := params.Config{"osc.max_rpcs_in_flight": 16}
+	plan := lustre.FaultPlan{Seed: 42, Severity: 0.6}
+	runs := 0
+	for _, ctx := range []context.Context{context.Background(), pool.WithBudget(context.Background(), pool.NewBudget(4))} {
+		for _, faults := range []*lustre.FaultPlan{nil, &plan} {
+			req := EvalRequest{Workload: "IOR_16M", Config: cfg, Reps: 3, SeedBase: -5, Faults: faults}
+			if _, _, err := eng.Evaluate(ctx, req); err != nil {
+				t.Fatal(err)
+			}
+			runs += req.Reps
+		}
+	}
+	if len(kp.keys) != runs/2 {
+		t.Fatalf("%d runs keyed to %d distinct keys, want %d", runs, len(kp.keys), runs/2)
 	}
 }

@@ -228,8 +228,9 @@ type EvalRequest struct {
 
 // Evaluate measures req.Config over req.Reps repetitions, as the paper's
 // eight-run averaging does, and returns the per-rep wall times (owned by the
-// caller) with their summary. The workload and the rendered config snapshot
-// are built once and shared by every rep; reps fan out under the ctx's
+// caller) with their summary. The workload, the rendered config snapshot and
+// the key's seed-independent part (platform.RunSpec.WithKeyBase) are built
+// once and shared by every rep; reps fan out under the ctx's
 // pool.Budget, serially without one. A rep's seed depends only on its
 // index, so walls, summaries and run-cache keys are bit-identical to a
 // serial run or to one-rep calls. The figures, the search, /v1/evaluate,
@@ -250,12 +251,12 @@ func (e *Engine) Evaluate(ctx context.Context, req EvalRequest) ([]float64, stat
 	if err != nil {
 		return nil, stats.Summary{}, err
 	}
+	base := platform.RunSpec{Spec: e.opts.Spec, Workload: w, Config: snap, Faults: faults}.WithKeyBase()
 	walls := make([]float64, req.Reps)
 	err = pool.Map(ctx, req.Reps, func(ctx context.Context, i int) error {
-		res, err := e.plat.Run(ctx, platform.RunSpec{
-			Spec: e.opts.Spec, Workload: w, Config: snap,
-			Seed: req.SeedBase + int64(i)*101, Faults: faults,
-		})
+		spec := base
+		spec.Seed = req.SeedBase + int64(i)*101
+		res, err := e.plat.Run(ctx, spec)
 		if err != nil {
 			return err
 		}

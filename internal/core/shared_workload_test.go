@@ -77,7 +77,9 @@ func TestWarmEvaluateBatchAllocs(t *testing.T) {
 		}
 	}
 	evaluate() // the cold pass simulates and fills the cache
-	if got := testing.AllocsPerRun(50, evaluate); got > 100 {
+	got := testing.AllocsPerRun(50, evaluate)
+	if got > 100 {
 		t.Fatalf("a warm 8-rep Evaluate allocates %.0f times, want <= 100", got)
 	}
+	t.Logf("a warm 8-rep Evaluate allocates %.0f times", got)
 }

@@ -17,10 +17,14 @@ package platform
 import (
 	"context"
 	"crypto/sha256"
+	"encoding"
 	"encoding/hex"
 	"fmt"
+	"hash"
+	"reflect"
 	"slices"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"stellar/internal/cluster"
@@ -39,6 +43,10 @@ type RunSpec struct {
 	Seed     int64
 	Faults   lustre.FaultPlan
 	Trace    lustre.TraceSink
+
+	// base, set only by WithKeyBase, is the key's hashed seed-independent
+	// part; nil keys in full.
+	base *keyBase
 }
 
 // RunResult is one measured trial as reported by a Platform. Clamped lists
@@ -72,42 +80,172 @@ type Platform interface {
 // only per-spec work. The workload part is workload.Digest: free for a
 // shared workload from workload.Catalog, which is sealed with its digest
 // when built, and a full O(ops) hash for any other workload. The cluster
-// spec's text is rendered once per distinct Spec value, and the config and
-// seed are appended with strconv into one buffer hashed in a single call.
+// spec's text is rendered once per distinct Spec value, the config's name
+// order is sorted once per distinct name set, and the config and seed are
+// appended with strconv into one buffer hashed in a single call.
+//
+// A spec made by WithKeyBase skips all of that: the prefix before the seed
+// is hashed once per base, and Key clones the saved SHA-256 state and
+// writes only the seed and faults lines. The bytes hashed are the same
+// either way, so a based key equals the full key.
 func (s RunSpec) Key() string {
+	if kb := s.base; kb != nil && kb.covers(s) {
+		return kb.key(s.Seed)
+	}
 	var stack [2048]byte
-	b := append(stack[:0], specText(s.Spec)...)
+	b := appendKeyPrefix(stack[:0], s)
+	b = appendSeedLine(b, s.Seed)
+	b = appendFaultsLine(b, s.Faults)
+	sum := sha256.Sum256(b)
+	return hexKey(sum[:])
+}
+
+// appendKeyPrefix appends the seed-independent head of s's key bytes: the
+// cluster spec text, the workload digest and the sorted cfg lines.
+func appendKeyPrefix(b []byte, s RunSpec) []byte {
+	b = append(b, specText(s.Spec)...)
 	d := s.Workload.Digest()
 	b = append(b, d[:]...)
 
-	var nameStack [64]string
-	names := nameStack[:0]
-	for k := range s.Config {
-		names = append(names, k)
+	b, ok := appendCfgLines(b, s.Config, lastNames.Load())
+	if !ok {
+		names := make([]string, 0, len(s.Config))
+		for k := range s.Config {
+			names = append(names, k)
+		}
+		slices.Sort(names)
+		lastNames.Store(&names)
+		b, _ = appendCfgLines(b, s.Config, &names)
 	}
-	slices.Sort(names)
-	for _, k := range names {
+	return b
+}
+
+// lastNames holds the most recently sorted config names. The engine keys
+// full snapshots over one registry, so nearly every config has the same
+// name set and one entry spares them the sort; a config with another set
+// sorts its own names and replaces it.
+var lastNames atomic.Pointer[[]string]
+
+// appendCfgLines appends cfg's "cfg name=value" lines in the order of
+// names, which are sorted. It reports false, with b unchanged, when names
+// is nil or is not exactly cfg's name set.
+func appendCfgLines(b []byte, cfg params.Config, names *[]string) ([]byte, bool) {
+	if names == nil || len(*names) != len(cfg) {
+		return b, false
+	}
+	start := len(b)
+	for _, k := range *names {
+		v, ok := cfg[k]
+		if !ok {
+			return b[:start], false
+		}
 		b = append(b, "cfg "...)
 		b = append(b, k...)
 		b = append(b, '=')
-		b = strconv.AppendInt(b, s.Config[k], 10)
+		b = strconv.AppendInt(b, v, 10)
 		b = append(b, '\n')
 	}
+	return b, true
+}
+
+func appendSeedLine(b []byte, seed int64) []byte {
 	b = append(b, "seed "...)
-	b = strconv.AppendInt(b, s.Seed, 10)
-	b = append(b, '\n')
-	// The fault plan only enters the digest when non-zero: clean-run keys
-	// stay byte-stable across the feature's introduction (committed
-	// recordings and warm caches keep hitting), while any injected fault
-	// schedule yields a distinct key.
-	if !s.Faults.IsZero() {
-		b = fmt.Appendf(b, "faults %#v\n", s.Faults)
+	b = strconv.AppendInt(b, seed, 10)
+	return append(b, '\n')
+}
+
+// appendFaultsLine appends the fault plan's key line. The plan only enters
+// the digest when non-zero: clean-run keys stay byte-stable across the
+// feature's introduction (committed recordings and warm caches keep
+// hitting), while any injected fault schedule yields a distinct key.
+func appendFaultsLine(b []byte, f lustre.FaultPlan) []byte {
+	if f.IsZero() {
+		return b
 	}
-	sum := sha256.Sum256(b)
+	return fmt.Appendf(b, "faults %#v\n", f)
+}
+
+func hexKey(sum []byte) string {
 	var out [2 * sha256.Size]byte
-	hex.Encode(out[:], sum[:])
+	hex.Encode(out[:], sum)
 	return string(out[:])
 }
+
+// WithKeyBase returns s carrying its key's seed-independent part, hashed
+// once: an evaluation's reps differ only in Seed, so each copy that sets
+// its own Seed (or Trace) keys by writing just the seed and faults lines
+// onto the saved state. A copy whose Spec, Workload, Config map or fault
+// slices are replaced keys in full, so a spec never keys under another
+// spec's base; their contents must not be mutated in place, which a
+// spec handed to a Platform already promises.
+func (s RunSpec) WithKeyBase() RunSpec {
+	kh := keyHashers.Get().(*keyHasher)
+	defer keyHashers.Put(kh)
+	kh.buf = appendKeyPrefix(kh.buf[:0], s)
+	kh.h.Reset()
+	kh.h.Write(kh.buf)
+	state, err := kh.h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic(fmt.Sprintf("platform: saving a SHA-256 state: %v", err))
+	}
+	s.base = &keyBase{
+		spec: s.Spec, w: s.Workload, cfg: s.Config, faults: s.Faults,
+		state: state, faultsLine: appendFaultsLine(nil, s.Faults),
+	}
+	return s
+}
+
+// keyBase is a key with its seed left out: the SHA-256 state after the key
+// prefix, the faults line that follows the seed, and the fields they were
+// rendered from.
+type keyBase struct {
+	spec       cluster.Spec
+	w          *workload.Workload
+	cfg        params.Config
+	faults     lustre.FaultPlan
+	state      []byte
+	faultsLine []byte
+}
+
+// covers reports whether s still holds the very values kb was rendered
+// from. It compares identities, not contents, so it costs no more than a
+// few words whatever the config's size.
+func (kb *keyBase) covers(s RunSpec) bool {
+	return kb.spec == s.Spec && kb.w == s.Workload &&
+		len(kb.cfg) == len(s.Config) &&
+		reflect.ValueOf(kb.cfg).UnsafePointer() == reflect.ValueOf(s.Config).UnsafePointer() &&
+		kb.faults.Seed == s.Faults.Seed && kb.faults.Severity == s.Faults.Severity &&
+		sameSlice(kb.faults.OSTs, s.Faults.OSTs) && sameSlice(kb.faults.MDS, s.Faults.MDS)
+}
+
+// sameSlice reports whether a and b are the same slice: same length over
+// the same backing array.
+func sameSlice[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// key finishes the key for seed on a clone of the saved state.
+func (kb *keyBase) key(seed int64) string {
+	kh := keyHashers.Get().(*keyHasher)
+	defer keyHashers.Put(kh)
+	if err := kh.h.(encoding.BinaryUnmarshaler).UnmarshalBinary(kb.state); err != nil {
+		panic(fmt.Sprintf("platform: restoring a SHA-256 state: %v", err))
+	}
+	kh.buf = appendSeedLine(kh.buf[:0], seed)
+	kh.buf = append(kh.buf, kb.faultsLine...)
+	kh.h.Write(kh.buf)
+	return hexKey(kh.h.Sum(kh.sum[:0]))
+}
+
+// keyHasher is a SHA-256 hash with its scratch buffers. It is pooled, so a
+// based key allocates nothing but its string.
+type keyHasher struct {
+	h   hash.Hash
+	buf []byte
+	sum [sha256.Size]byte
+}
+
+var keyHashers = sync.Pool{New: func() any { return &keyHasher{h: sha256.New()} }}
 
 // renderedSpec is a cluster spec with its key text. Spec fields are all
 // scalars, and %#v renders them in declaration order with their field

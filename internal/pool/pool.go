@@ -16,6 +16,7 @@ package pool
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -59,9 +60,12 @@ func WithBudget(ctx context.Context, b *Budget) context.Context {
 // as many helpers as the ctx's budget has tokens free right now; it never
 // waits for one, and each helper returns its token when items run out.
 // The first error (lowest index) cancels the remaining work and is
-// returned; ctx cancellation stops the fan-out and returns ctx.Err(). With
-// no helpers the loop is strictly serial, which is the reference path
-// parallel runs must match bit for bit.
+// returned; ctx cancellation stops the fan-out and returns ctx.Err(). A
+// panic in fn, on whichever goroutine it runs, cancels the fan-out too;
+// once every helper has returned, the lowest-index panic is re-raised with
+// its value on the caller, so a recover above Map sees it and no helper
+// outlives it. With no helpers the loop is strictly serial, which is the
+// reference path parallel runs must match bit for bit.
 func Map(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -85,7 +89,14 @@ func Map(ctx context.Context, n int, fn func(ctx context.Context, i int) error) 
 	errs := make([]error, n)
 	var next atomic.Int64
 	work := func() {
-		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+		i := n
+		defer func() {
+			if r := recover(); r != nil {
+				errs[i] = panicked{r}
+				cancel()
+			}
+		}()
+		for i = int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
 			if errs[i] = gctx.Err(); errs[i] == nil {
 				if errs[i] = fn(gctx, i); errs[i] != nil {
 					cancel()
@@ -104,6 +115,11 @@ func Map(ctx context.Context, n int, fn func(ctx context.Context, i int) error) 
 	}
 	work()
 	wg.Wait()
+	for _, err := range errs {
+		if p, ok := err.(panicked); ok {
+			panic(p.value)
+		}
+	}
 	// Lowest-index real error wins so failures are deterministic regardless
 	// of goroutine scheduling; cancellation fallout from the group cancel
 	// must not mask the error that triggered it.
@@ -121,6 +137,12 @@ func Map(ctx context.Context, n int, fn func(ctx context.Context, i int) error) 
 	}
 	return fallout
 }
+
+// panicked holds the value an item's fn panicked with, for Map to re-raise
+// on its caller.
+type panicked struct{ value any }
+
+func (p panicked) Error() string { return fmt.Sprint("pool: item panicked: ", p.value) }
 
 // Values runs fn for every index and collects the results in input order.
 // Identical ordering guarantees as Map: out[i] is fn's result for item i,

@@ -172,6 +172,35 @@ func TestMapErrorCancelsRemainingWork(t *testing.T) {
 	}
 }
 
+// TestMapRepanicsOnCaller: a panic in fn cancels the fan-out and reaches
+// the caller with its value, after every helper has returned its token.
+func TestMapRepanicsOnCaller(t *testing.T) {
+	b := NewBudget(4)
+	var running atomic.Int64
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		Map(WithBudget(context.Background(), b), 4, func(ctx context.Context, i int) error {
+			running.Add(1)
+			defer running.Add(-1)
+			if i == 0 {
+				<-ctx.Done() // only the panic's cancel ends this item
+				return ctx.Err()
+			}
+			panic("boom")
+		})
+		return nil
+	}()
+	if got != "boom" {
+		t.Fatalf("recovered %v, want the panic value %q", got, "boom")
+	}
+	if n := running.Load(); n != 0 {
+		t.Fatalf("%d items still running after Map panicked", n)
+	}
+	if n := b.take(100); n != 3 {
+		t.Fatalf("budget holds %d helper tokens after the panic, want 3", n)
+	}
+}
+
 func TestMapHonoursParentCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(budgeted(2))
 	var ran int64

@@ -178,15 +178,23 @@ func TestRecordRepairsBadRecording(t *testing.T) {
 }
 
 // slowBackend delays the simulator's runs of one kind, traced or untraced,
-// so the other kind's recording lands first.
+// so the other kind's recording lands first. A traced run first waits for
+// the untraced run to enter the backend, past its disk check, so that
+// check misses whatever the traced run would have written by then.
 type slowBackend struct {
 	slowTraced bool
 	delay      time.Duration
+	untraced   chan struct{} // closed when the one untraced run enters
 }
 
 func (slowBackend) Name() string { return "slow(sim)" }
 
 func (b slowBackend) Run(ctx context.Context, spec platform.RunSpec) (*platform.RunResult, error) {
+	if spec.Trace == nil {
+		close(b.untraced)
+	} else {
+		<-b.untraced
+	}
 	if (spec.Trace != nil) == b.slowTraced {
 		time.Sleep(b.delay)
 	}
@@ -206,7 +214,7 @@ func TestRacedTracedAndUntracedRunsKeepEvents(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			cache := NewWithOptions(slowBackend{slowTraced: tc.slowTraced, delay: 50 * time.Millisecond}, Options{Dir: dir, Traces: true})
+			cache := NewWithOptions(slowBackend{slowTraced: tc.slowTraced, delay: 50 * time.Millisecond, untraced: make(chan struct{})}, Options{Dir: dir, Traces: true})
 			spec := testRunSpec(t, 12)
 			traced := spec
 			traced.Trace = &captureSink{}

@@ -188,20 +188,36 @@ func (s *jobStore) create(kind, target string) *Job {
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)
-	if len(s.order) > maxJobs {
-		kept := s.order[:0]
-		excess := len(s.order) - maxJobs
-		for _, old := range s.order {
-			if excess > 0 && old.terminal() {
-				delete(s.jobs, old.id)
-				excess--
-				continue
-			}
-			kept = append(kept, old)
-		}
-		s.order = kept
-	}
+	s.pruneLocked()
 	return j
+}
+
+// pruneLocked drops the oldest terminal jobs until the store is back at
+// maxJobs or only active jobs remain to drop. Terminal jobs at the front
+// are popped in O(1) each, which is all a create costs while the oldest job
+// is done; only an active job at the front makes it scan past it.
+func (s *jobStore) pruneLocked() {
+	excess := len(s.order) - maxJobs
+	for excess > 0 && s.order[0].terminal() {
+		delete(s.jobs, s.order[0].id)
+		s.order[0] = nil
+		s.order = s.order[1:]
+		excess--
+	}
+	if excess <= 0 {
+		return
+	}
+	kept := s.order[:0]
+	for _, old := range s.order {
+		if excess > 0 && old.terminal() {
+			delete(s.jobs, old.id)
+			excess--
+			continue
+		}
+		kept = append(kept, old)
+	}
+	clear(s.order[len(kept):])
+	s.order = kept
 }
 
 func (s *jobStore) get(id string) (*Job, bool) {

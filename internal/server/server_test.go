@@ -1312,13 +1312,33 @@ func TestShutdownMapsTo503(t *testing.T) {
 }
 
 // panickingPlatform panics on every run while armed and simulates
-// normally once disarmed.
-type panickingPlatform struct{ armed atomic.Bool }
+// normally once disarmed. The first armed runs wait until together of them
+// are in flight, so a parallel fan-out panics on its helper goroutines,
+// not only on its caller's.
+type panickingPlatform struct {
+	armed    atomic.Bool
+	together int64
+	entered  atomic.Int64
+	gathered chan struct{}
+}
+
+func newPanickingPlatform(together int) *panickingPlatform {
+	p := &panickingPlatform{together: int64(max(together, 1)), gathered: make(chan struct{})}
+	p.armed.Store(true)
+	return p
+}
 
 func (p *panickingPlatform) Name() string { return "panicking" }
 
 func (p *panickingPlatform) Run(ctx context.Context, spec platform.RunSpec) (*platform.RunResult, error) {
 	if p.armed.Load() {
+		if p.entered.Add(1) == p.together {
+			close(p.gathered)
+		}
+		select {
+		case <-p.gathered:
+		case <-time.After(5 * time.Second):
+		}
 		panic("backend exploded")
 	}
 	return platform.Simulator{}.Run(ctx, spec)
@@ -1328,12 +1348,25 @@ func (p *panickingPlatform) Run(ctx context.Context, spec platform.RunSpec) (*pl
 // measurement on every admission path — evaluate answers 500 internal, a
 // sweep streams the cell as failed, a tune footer carries the error — and
 // strands nothing: with one worker, the same evaluate afterwards answers
-// promptly, so neither the worker nor the run's flight key was lost.
+// promptly, so neither the worker nor the run's flight key was lost. The
+// parallel variant panics on the fan-out's helper goroutines too.
 func TestMeasurementPanicContract(t *testing.T) {
-	pp := &panickingPlatform{}
-	pp.armed.Store(true)
-	_, ts := newTestServer(t, Options{Cache: runcache.New(pp, 0), Workers: 1, Backlog: 8})
-	const evalBody = `{"workload":"IOR_16M","reps":1,"seed":3}`
+	for _, tc := range []struct {
+		name     string
+		parallel int
+		reps     int
+	}{
+		{"serial", 0, 1},
+		{"parallel", 4, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testMeasurementPanicContract(t, tc.parallel, tc.reps) })
+	}
+}
+
+func testMeasurementPanicContract(t *testing.T, parallel, reps int) {
+	pp := newPanickingPlatform(reps)
+	_, ts := newTestServer(t, Options{Cache: runcache.New(pp, 0), Workers: 1, Backlog: 8, Parallel: parallel})
+	evalBody := fmt.Sprintf(`{"workload":"IOR_16M","reps":%d,"seed":3}`, reps)
 
 	resp, data := post(t, ts.URL+"/v1/evaluate", evalBody)
 	var env errorEnvelope
@@ -1347,7 +1380,7 @@ func TestMeasurementPanicContract(t *testing.T) {
 		t.Errorf("evaluate message = %q, want the panic reported", env.Error.Message)
 	}
 
-	_, cells, footer := sweepLines(t, ts.URL, `{"workload":"IOR_16M","reps":1,"seed":3,"grid":{"osc.max_pages_per_rpc":[512]}}`)
+	_, cells, footer := sweepLines(t, ts.URL, fmt.Sprintf(`{"workload":"IOR_16M","reps":%d,"seed":3,"grid":{"osc.max_pages_per_rpc":[512]}}`, reps))
 	if footer.Failed != 1 || footer.Done != 0 || footer.Cancelled {
 		t.Errorf("sweep footer = %+v, want failed:1 done:0", footer)
 	}
@@ -1355,7 +1388,7 @@ func TestMeasurementPanicContract(t *testing.T) {
 		t.Errorf("sweep cells = %+v, want one cell failed with the panic", cells)
 	}
 
-	_, _, tf := tuneLines(t, ts.URL, `{"workload":"IOR_16M","candidates":2,"max_reps":1,"seed":3}`)
+	_, _, tf := tuneLines(t, ts.URL, fmt.Sprintf(`{"workload":"IOR_16M","candidates":2,"max_reps":%d,"seed":3}`, reps))
 	if !strings.Contains(tf.Error, "evaluation panicked") || tf.Cancelled {
 		t.Errorf("tune footer error = %q (cancelled %v), want the panic reported", tf.Error, tf.Cancelled)
 	}
