@@ -104,8 +104,9 @@ func (p *Param) Bounds(env Env) (lo, hi int64, err error) {
 
 // Registry is the full parameter table, keyed by name.
 type Registry struct {
-	byName map[string]*Param
-	order  []string
+	byName   map[string]*Param
+	order    []string
+	writable []*Param
 }
 
 // NewRegistry builds a registry from a parameter list, rejecting duplicates.
@@ -120,6 +121,9 @@ func NewRegistry(list []*Param) (*Registry, error) {
 		}
 		r.byName[p.Name] = p
 		r.order = append(r.order, p.Name)
+		if p.Writable {
+			r.writable = append(r.writable, p)
+		}
 	}
 	return r, nil
 }
@@ -139,16 +143,10 @@ func (r *Registry) All() []*Param {
 	return out
 }
 
-// Writable returns the runtime-settable parameters.
-func (r *Registry) Writable() []*Param {
-	var out []*Param
-	for _, p := range r.All() {
-		if p.Writable {
-			out = append(out, p)
-		}
-	}
-	return out
-}
+// Writable returns the runtime-settable parameters in registry order. The
+// list is built once by NewRegistry and shared by every call, so callers
+// must treat it as read-only.
+func (r *Registry) Writable() []*Param { return r.writable }
 
 // Config is a full assignment of values to writable parameters. Values for
 // KindBool parameters are 0/1. Missing entries mean "default".

@@ -19,7 +19,7 @@ func testSpec() cluster.Spec {
 	return s
 }
 
-func testRunSpec(t *testing.T, seed int64) RunSpec {
+func testRunSpec(t testing.TB, seed int64) RunSpec {
 	t.Helper()
 	spec := testSpec()
 	w, err := workload.Catalog("IOR_16M", spec.TotalRanks(), 0.05)

@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 
 	"stellar/internal/lustre"
 )
@@ -16,7 +18,10 @@ import (
 // replayed run can drive the same Darshan collection the live run did. It
 // is the one format of every run directory: a run cache's persistence
 // directory, a recorded run set and a replayed one (internal/runcache), so
-// a recorded run set doubles as a warm cache and vice versa.
+// a recorded run set doubles as a warm cache and vice versa. Its JSON
+// layout is pinned: ReadRecording decodes exactly what json.Marshal writes,
+// so a field added here, or to a type it holds, is added to decodeRecording
+// too.
 type Recording struct {
 	Key      string         `json:"key"`
 	Workload string         `json:"workload"`
@@ -71,22 +76,75 @@ func WriteRecording(dir string, rec *Recording) error {
 
 // ReadRecording loads the recording for key from dir. A missing file is
 // reported with os.IsNotExist-compatible wrapping so callers can distinguish
-// "never recorded" from a corrupt or unreadable file. A well-formed file
-// whose key field disagrees with its name is mislabelled, and serving it
-// would hand back another spec's result, so it is an error too.
+// "never recorded" from a corrupt or unreadable file. A file whose key field
+// disagrees with its name is mislabelled, and serving it would hand back
+// another spec's result, so it is an error too; the key is checked before
+// anything else is decoded.
+//
+// A disk-tier hit costs one open and one pass: the file is read into a
+// pooled buffer and decoded by a reader of exactly the layout
+// WriteRecording's json.Marshal writes (field order, no whitespace, no
+// trailing newline, null versus [] slices, omitted empty clamped and events
+// lists). Any other layout is corrupt, even where it is valid JSON of the
+// same value: reformatted, reordered, with unknown fields or a trailing
+// newline. A run cache repairs such a file — it counts a disk error,
+// re-simulates and rewrites the canonical form — while a replay fails and
+// names it.
 func ReadRecording(dir, key string) (*Recording, error) {
-	data, err := os.ReadFile(filepath.Join(dir, key+".json"))
+	bp, err := readFile(filepath.Join(dir, key+".json"))
 	if err != nil {
 		return nil, err
 	}
-	var rec Recording
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return nil, fmt.Errorf("platform: corrupt recording %s: %w", key[:12], err)
+	rec, err := decodeRecording(*bp, key)
+	putBuf(bp)
+	return rec, err
+}
+
+// readBufs holds the buffers ReadRecording reads files into; a buffer
+// grown past maxPooledBuf, by a traced recording, is dropped instead, so
+// the pool never pins one.
+var readBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 1024)
+	return &b
+}}
+
+const maxPooledBuf = 64 << 10
+
+// readFile reads path to EOF into a pooled buffer, which the caller hands
+// back with putBuf. It opens the file non-blocking, which a regular file
+// ignores, so os skips switching the descriptor's mode and back, and it
+// never stats: the buffer grows as the reads need.
+func readFile(path string) (*[]byte, error) {
+	f, err := os.OpenFile(path, os.O_RDONLY|syscall.O_NONBLOCK, 0)
+	if err != nil {
+		return nil, err
 	}
-	if rec.Key != key {
-		return nil, fmt.Errorf("platform: mislabelled recording %s: its key field reads %.12s", key[:12], rec.Key)
+	defer f.Close()
+	bp := readBufs.Get().(*[]byte)
+	b := (*bp)[:0]
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := f.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			*bp = b
+			if err == io.EOF {
+				return bp, nil
+			}
+			putBuf(bp)
+			return nil, err
+		}
 	}
-	return &rec, nil
+}
+
+// putBuf returns a buffer from readFile to the pool.
+func putBuf(bp *[]byte) {
+	if cap(*bp) <= maxPooledBuf {
+		*bp = (*bp)[:0]
+		readBufs.Put(bp)
+	}
 }
 
 // NoRecording is the backend of a replay run cache, named by its

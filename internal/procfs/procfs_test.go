@@ -62,3 +62,15 @@ func TestReadWriteApplyReset(t *testing.T) {
 		t.Fatalf("reset failed: %q", v)
 	}
 }
+
+// TestSetDefaultsDoesNotAllocate pins SetDefaults' contract: a pooled tree
+// resets in place, on every evaluation, without allocating.
+func TestSetDefaultsDoesNotAllocate(t *testing.T) {
+	tree := New(params.Lustre())
+	if err := tree.Write("llite.statahead_max", 512); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, tree.SetDefaults); n != 0 {
+		t.Fatalf("SetDefaults allocated %.0f times per call, want 0", n)
+	}
+}

@@ -118,6 +118,29 @@ func TestReplayRejectsMislabelledRecording(t *testing.T) {
 	}
 }
 
+// TestReplayRejectsNonCanonicalRecording: a replay has no simulator to
+// repair a recording in another layout than WriteRecording's, so it fails
+// and names the file as corrupt.
+func TestReplayRejectsNonCanonicalRecording(t *testing.T) {
+	dir := t.TempDir()
+	spec := testRunSpec(t, 9)
+	if _, err := recordCache(dir).Run(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, spec.Key()+".json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = replayCache(dir).Run(context.Background(), spec)
+	if err == nil || !strings.Contains(err.Error(), "corrupt recording "+spec.Key()[:12]) {
+		t.Fatalf("want a corrupt-recording error naming %.12s, got %v", spec.Key(), err)
+	}
+}
+
 func TestRecordKeepsTracedRecording(t *testing.T) {
 	dir := t.TempDir()
 	rec := recordCache(dir)

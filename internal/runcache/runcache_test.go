@@ -1,6 +1,7 @@
 package runcache
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -457,6 +458,61 @@ func TestPersistenceSurvivesCorruptRecording(t *testing.T) {
 			}
 			if s := fresh.Stats(); s.DiskHits != 1 || s.Misses != 0 {
 				t.Fatalf("repaired recording did not warm-start: %+v", s)
+			}
+		})
+	}
+}
+
+// TestPersistenceRepairsNonCanonicalRecording: a recording that holds the
+// right value in another layout than WriteRecording's (reformatted, or with
+// a trailing newline) is corrupt to the reader, so the cache counts a disk
+// error, re-simulates, and rewrites the file in the canonical layout.
+func TestPersistenceRepairsNonCanonicalRecording(t *testing.T) {
+	ctx := context.Background()
+	spec := testRunSpec(t, 5)
+	res, err := platform.Simulator{}.Run(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := platform.Recording{Key: spec.Key(), Workload: spec.Workload.Name, Seed: spec.Seed, Result: *res}
+	canonical, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	indented, err := json.MarshalIndent(rec, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"reformatted", indented},
+		{"trailing newline", append(append([]byte(nil), canonical...), '\n')},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, spec.Key()+".json")
+			if err := os.WriteFile(path, tc.body, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			backend := newCountingBackend(0)
+			cache := NewWithOptions(backend, Options{Dir: dir})
+			if _, err := cache.Run(ctx, spec); err != nil {
+				t.Fatal(err)
+			}
+			if got := backend.callsFor(spec.Key()); got != 1 {
+				t.Fatalf("backend ran %d times for a non-canonical recording, want 1", got)
+			}
+			if s := cache.Stats(); s.DiskErrs != 1 || s.DiskHits != 0 {
+				t.Fatalf("non-canonical recording not counted as a disk error: %+v", s)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, canonical) {
+				t.Fatalf("file not rewritten in the canonical layout:\n%s", got)
 			}
 		})
 	}

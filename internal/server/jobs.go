@@ -169,6 +169,9 @@ type jobStore struct {
 	seq   int64
 	jobs  map[string]*Job
 	order []*Job
+	// touched counts the entries the last pruneLocked looked at or moved,
+	// so tests can bound what a create costs.
+	touched int
 }
 
 func newJobStore() *jobStore {
@@ -193,31 +196,28 @@ func (s *jobStore) create(kind, target string) *Job {
 }
 
 // pruneLocked drops the oldest terminal jobs until the store is back at
-// maxJobs or only active jobs remain to drop. Terminal jobs at the front
-// are popped in O(1) each, which is all a create costs while the oldest job
-// is done; only an active job at the front makes it scan past it.
+// maxJobs or only active jobs remain to drop. It walks from the front past
+// the active jobs that are older than the oldest terminal one, drops that
+// job, and closes the gap by shifting those active jobs one place back, so
+// the order stays by creation and nothing behind the dropped job moves or
+// is looked at. A create therefore costs O(1) plus the number of active
+// jobs at the front, never a walk over the whole registry.
 func (s *jobStore) pruneLocked() {
 	excess := len(s.order) - maxJobs
-	for excess > 0 && s.order[0].terminal() {
-		delete(s.jobs, s.order[0].id)
+	s.touched = 0
+	for i := 0; excess > 0 && i < len(s.order); {
+		j := s.order[i]
+		s.touched++
+		if !j.terminal() {
+			i++
+			continue
+		}
+		delete(s.jobs, j.id)
+		s.touched += copy(s.order[1:i+1], s.order[:i])
 		s.order[0] = nil
 		s.order = s.order[1:]
 		excess--
 	}
-	if excess <= 0 {
-		return
-	}
-	kept := s.order[:0]
-	for _, old := range s.order {
-		if excess > 0 && old.terminal() {
-			delete(s.jobs, old.id)
-			excess--
-			continue
-		}
-		kept = append(kept, old)
-	}
-	clear(s.order[len(kept):])
-	s.order = kept
 }
 
 func (s *jobStore) get(id string) (*Job, bool) {

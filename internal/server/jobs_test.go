@@ -88,3 +88,21 @@ func TestJobStorePrunesPastRunningOldest(t *testing.T) {
 		t.Fatalf("job %s pruned, past the excess", jobs[4].id)
 	}
 }
+
+// TestJobStoreCreateIsBoundedPastRunningOldest: while the oldest job runs, a
+// create past maxJobs looks at that job and the oldest terminal one behind
+// it, and moves only the running one, however many jobs are retained.
+func TestJobStoreCreateIsBoundedPastRunningOldest(t *testing.T) {
+	s := newJobStore()
+	oldest := s.create("figure", "fig2")
+	oldest.start()
+	for range maxJobs * 3 {
+		s.create("evaluate", "IOR_16M").finish(nil, nil)
+		if s.touched > 3 {
+			t.Fatalf("a create with %d retained jobs touched %d entries, want at most 3", len(s.order), s.touched)
+		}
+	}
+	if _, ok := s.get(oldest.id); !ok {
+		t.Fatal("the running oldest job was pruned")
+	}
+}

@@ -52,6 +52,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"time"
 
 	"stellar/internal/cluster"
@@ -728,7 +729,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeRaw(w http.ResponseWriter, status int, data []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", fmt.Sprint(len(data)+1))
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)+1))
 	w.WriteHeader(status)
 	w.Write(append(data, '\n'))
 }
