@@ -223,15 +223,15 @@ func BenchmarkServeEvaluate(b *testing.B) {
 	}
 }
 
-// benchServeConcurrent is BenchmarkServeEvaluate under 16-way client
-// concurrency: 16 goroutines fire identical evaluate requests at one
+// BenchmarkServeEvaluateConcurrent is BenchmarkServeEvaluate under 16-way
+// client concurrency: 16 goroutines fire identical evaluate requests at one
 // in-process server, so after warm-up every request is a cache lookup and
-// the benchmark measures lock contention on the shared cache itself.
-func benchServeConcurrent(b *testing.B, shards int) {
-	b.Helper()
+// the benchmark measures lock contention on the shared, sharded cache
+// itself.
+func BenchmarkServeEvaluateConcurrent(b *testing.B) {
 	srv, err := server.New(server.Options{
 		Scale: 0.25, Workers: 32, Backlog: 64,
-		Cache: runcache.NewWithOptions(platform.Simulator{}, runcache.Options{Shards: shards}),
+		Cache: runcache.New(platform.Simulator{}, 0),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -277,15 +277,6 @@ func benchServeConcurrent(b *testing.B, shards int) {
 		}
 	}
 }
-
-// BenchmarkServeEvaluateConcurrent is the sharded cache under the server's
-// 16-way fan-out; compare with BenchmarkServeEvaluateConcurrentSingleShard
-// (the old single-mutex layout) to see what sharding buys under contention.
-func BenchmarkServeEvaluateConcurrent(b *testing.B) { benchServeConcurrent(b, 0) }
-
-// BenchmarkServeEvaluateConcurrentSingleShard forces every key onto one
-// mutex — the pre-sharding baseline the sharded cache must never lose to.
-func BenchmarkServeEvaluateConcurrentSingleShard(b *testing.B) { benchServeConcurrent(b, 1) }
 
 // BenchmarkFig8AblationParallel regenerates Figure 8 with its three
 // independent arms fanned out under a budget of all cores, the

@@ -101,7 +101,7 @@ func main() {
 func serve(ctx context.Context, cfg serveConfig, onReady func(addr string)) error {
 	// The service exists to share one cache across callers, so -cache is
 	// implied: the flags always stack one over the selected backend,
-	// honouring -cache-size, -cache-shards, and -cache-dir, so
+	// honouring -cache-size and -cache-dir, so
 	// `stellar-serve -cache-dir d` warm-starts from d's recorded runs after
 	// a restart.
 	*cfg.pf.Cache = true

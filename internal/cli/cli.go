@@ -16,13 +16,12 @@ import (
 
 // PlatformFlags is the common flag set for selecting a measurement backend.
 type PlatformFlags struct {
-	Platform    *string
-	RecordDir   *string
-	Cache       *bool
-	CacheSize   *int
-	CacheShards *int
-	CacheDir    *string
-	CacheStats  *bool
+	Platform   *string
+	RecordDir  *string
+	Cache      *bool
+	CacheSize  *int
+	CacheDir   *string
+	CacheStats *bool
 }
 
 // RegisterPlatformFlags installs the shared flags on the default flag set.
@@ -35,13 +34,12 @@ func RegisterPlatformFlags() *PlatformFlags {
 // different flag combinations never collides on redefined names.
 func RegisterPlatformFlagsOn(fs *flag.FlagSet) *PlatformFlags {
 	return &PlatformFlags{
-		Platform:    fs.String("platform", "sim", "measurement backend: sim (live simulator), record (simulate and serialize runs to -record-dir), replay (serve runs from -record-dir, no simulation)"),
-		RecordDir:   fs.String("record-dir", "runs", "directory for record/replay run sets"),
-		Cache:       fs.Bool("cache", false, "memoize runs in a content-addressed, sharded, singleflight-deduplicated cache"),
-		CacheSize:   fs.Int("cache-size", 0, "run cache capacity in entries across all shards (0 = default)"),
-		CacheShards: fs.Int("cache-shards", 0, "run cache shard count (0 = default)"),
-		CacheDir:    fs.String("cache-dir", "", "write-through run cache persistence directory: completed runs land there as <key>.json and later processes warm-start from them (implies -cache; not with -platform record or replay, whose directory is -record-dir)"),
-		CacheStats:  fs.Bool("cache-stats", false, "print run cache hit/miss statistics on exit"),
+		Platform:   fs.String("platform", "sim", "measurement backend: sim (live simulator), record (simulate and serialize runs to -record-dir), replay (serve runs from -record-dir, no simulation)"),
+		RecordDir:  fs.String("record-dir", "runs", "directory for record/replay run sets"),
+		Cache:      fs.Bool("cache", false, "memoize runs in a content-addressed, sharded, singleflight-deduplicated cache"),
+		CacheSize:  fs.Int("cache-size", 0, "run cache capacity in entries across all shards (0 = default)"),
+		CacheDir:   fs.String("cache-dir", "", "write-through run cache persistence directory: completed runs land there as <key>.json and later processes warm-start from them (implies -cache; not with -platform record or replay, whose directory is -record-dir)"),
+		CacheStats: fs.Bool("cache-stats", false, "print run cache hit/miss statistics on exit"),
 	}
 }
 
@@ -54,7 +52,7 @@ func RegisterPlatformFlagsOn(fs *flag.FlagSet) *PlatformFlags {
 // instead of failing per-trial mid-run.
 func (f *PlatformFlags) Build() (platform.Platform, *runcache.Cache, error) {
 	var base platform.Platform = platform.Simulator{}
-	opts := runcache.Options{Capacity: *f.CacheSize, Shards: *f.CacheShards, Dir: *f.CacheDir}
+	opts := runcache.Options{Capacity: *f.CacheSize, Dir: *f.CacheDir}
 	switch *f.Platform {
 	case "sim":
 		if *f.CacheDir != "" {

@@ -102,17 +102,6 @@ func TestBuildCacheDirImpliesCache(t *testing.T) {
 	}
 }
 
-func TestBuildCacheShards(t *testing.T) {
-	pf := parse(t, "-cache", "-cache-shards", "4")
-	_, cache, err := pf.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cache.Stats().Shards; got != 4 {
-		t.Fatalf("shards = %d, want 4", got)
-	}
-}
-
 func TestBuildErrors(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "plain-file")

@@ -160,7 +160,7 @@ func (r *runner) admitWrite(rank int) {
 		c := r.chunkAt(f, rs.wOff, rs.wRem)
 		osc := r.osc[node][c.ost]
 		if osc.dirty >= r.cfg.dirtyBytes {
-			osc.dirtyWaiters.push(int32(rank))
+			osc.dirtyWaiters.Push(int32(rank))
 			return
 		}
 		osc.dirty += c.size
@@ -179,22 +179,22 @@ func (r *runner) admitWrite(rank int) {
 // fires (rpcStep's rsAdmitWrite pops it).
 func (r *runner) stageChunk(node int, file int32, c chunk) {
 	osc := r.osc[node][c.ost]
-	if g := osc.groups.tail(); g != nil && g.file == file && g.ost == c.ost &&
+	if g := osc.groups.Tail(); g != nil && g.file == file && g.ost == c.ost &&
 		g.off+g.size == c.off && g.size+c.size <= r.cfg.rpcBytes {
 		g.size += c.size
 		return
 	}
-	osc.groups.push(rpcGroup{file: file, ost: c.ost, off: c.off, size: c.size})
+	osc.groups.Push(rpcGroup{file: file, ost: c.ost, off: c.off, size: c.size})
 	i := r.sc.newRPC()
 	o := &r.sc.rpcs[i]
 	o.state, o.kind, o.write = rsAdmitWrite, rcWrite, true
 	o.node, o.ost = int32(node), int32(c.ost)
-	osc.window.Enter(o.cont)
+	osc.window.Acquire(o.cont)
 }
 
 func (r *runner) wakeDirtyWaiters(osc *oscState) {
-	for osc.dirtyWaiters.len() > 0 && osc.dirty < r.cfg.dirtyBytes {
-		rank := osc.dirtyWaiters.pop()
+	for osc.dirtyWaiters.Len() > 0 && osc.dirty < r.cfg.dirtyBytes {
+		rank := osc.dirtyWaiters.Pop()
 		r.eng.After(0, r.sc.ranks[rank].admit)
 	}
 }
@@ -291,7 +291,7 @@ func (r *runner) doRead(rank int, op workload.Op) {
 		o.state, o.kind = rsAdmitRead, rcRead
 		o.node, o.ost, o.file = int32(node), int32(c.ost), op.File
 		o.off, o.size, o.req = c.off, c.size, q
-		r.osc[node][c.ost].window.Enter(o.cont)
+		r.osc[node][c.ost].window.Acquire(o.cont)
 	}
 }
 
@@ -320,7 +320,7 @@ func (r *runner) maybeReadahead(rank, node int, file int32, f *fileState, pos in
 				o.state, o.kind = rsAdmitRead, rcRAProbe
 				o.node, o.ost, o.file = int32(node), int32(ost), file
 				o.off, o.size = pos, waste
-				r.osc[node][ost].window.Enter(o.cont)
+				r.osc[node][ost].window.Acquire(o.cont)
 			}
 		}
 		return
@@ -359,7 +359,7 @@ func (r *runner) maybeReadahead(rank, node int, file int32, f *fileState, pos in
 			o.state, o.kind = rsAdmitRead, rcRA
 			o.node, o.ost, o.file, o.rank = int32(node), int32(c.ost), file, int32(rank)
 			o.off, o.size = c.off, c.size
-			r.osc[node][c.ost].window.Enter(o.cont)
+			r.osc[node][c.ost].window.Acquire(o.cont)
 		}
 	}
 }

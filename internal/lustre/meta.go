@@ -174,7 +174,7 @@ func (r *runner) metaRPC(node int, gate int, dir int32, serial, service float64,
 	m.mod = gate == gateMod
 	m.node, m.dir, m.file, m.rank = int32(node), dir, file, int32(rank)
 	m.serial, m.service = serial, service
-	g.Enter(m.cont)
+	g.Acquire(m.cont)
 }
 
 const (

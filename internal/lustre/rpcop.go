@@ -116,58 +116,6 @@ type rankConts struct {
 	admit func() // resume a dirty-throttled write admission loop
 }
 
-// fifo is a growable power-of-two FIFO of values with tail access, used for
-// the OSC write-back staging ring and the dirty-throttle waiter queue. It
-// mirrors the sim package's ring but adds tail (newest element) for group
-// coalescing.
-type fifo[T any] struct {
-	buf  []T
-	head int
-	n    int
-}
-
-func (f *fifo[T]) len() int { return f.n }
-
-func (f *fifo[T]) push(v T) {
-	if f.n == len(f.buf) {
-		f.grow()
-	}
-	f.buf[(f.head+f.n)&(len(f.buf)-1)] = v
-	f.n++
-}
-
-func (f *fifo[T]) pop() T {
-	if f.n == 0 {
-		panic("lustre: pop from empty fifo")
-	}
-	var zero T
-	v := f.buf[f.head]
-	f.buf[f.head] = zero
-	f.head = (f.head + 1) & (len(f.buf) - 1)
-	f.n--
-	return v
-}
-
-// tail returns a pointer to the newest element, or nil when empty.
-func (f *fifo[T]) tail() *T {
-	if f.n == 0 {
-		return nil
-	}
-	return &f.buf[(f.head+f.n-1)&(len(f.buf)-1)]
-}
-
-func (f *fifo[T]) grow() {
-	c := len(f.buf) * 2
-	if c < 8 {
-		c = 8
-	}
-	buf := make([]T, c)
-	m := copy(buf, f.buf[f.head:])
-	copy(buf[m:], f.buf[:f.head])
-	f.buf = buf
-	f.head = 0
-}
-
 // scratch bundles everything reusable across runs: the simulation engine
 // and its rng, the three op arenas with their free lists and per-slot
 // continuations, the per-rank continuation table, and the runner's tables.
@@ -315,11 +263,11 @@ func (r *runner) rpcStep(i int32) {
 	op := &r.sc.rpcs[i]
 	switch op.state {
 	case rsAdmitWrite:
-		// The OSC window grants FIFO in Enter order and groups stage in the
+		// The OSC window grants FIFO in Acquire order and groups stage in the
 		// same order, so this grant's group is always the ring head. The
 		// group kept coalescing until this instant; send its final extent.
 		osc := r.osc[op.node][op.ost]
-		g := osc.groups.pop()
+		g := osc.groups.Pop()
 		op.file, op.off, op.size = g.file, g.off, g.size
 		r.startRPC(op)
 	case rsAdmitRead:
@@ -390,7 +338,7 @@ func (r *runner) completeRPC(i int32) {
 	osc := r.osc[node][ost]
 	switch kind {
 	case rcWrite:
-		osc.window.Leave()
+		osc.window.Release()
 		osc.dirty -= size
 		r.wakeDirtyWaiters(osc)
 		f := &r.files[file]
@@ -402,7 +350,7 @@ func (r *runner) completeRPC(i int32) {
 			}
 		}
 	case rcRead:
-		osc.window.Leave()
+		osc.window.Release()
 		req := &r.sc.reqs[reqIdx]
 		req.remaining--
 		if req.remaining == 0 {
@@ -413,7 +361,7 @@ func (r *runner) completeRPC(i int32) {
 			r.finishRead(reqIdx, false)
 		}
 	case rcRA:
-		osc.window.Leave()
+		osc.window.Release()
 		r.raBudget[node] -= size
 		ra := &r.files[file].raState[rank]
 		if off+size > ra.doneTo {
@@ -421,7 +369,7 @@ func (r *runner) completeRPC(i int32) {
 		}
 		r.wakeRAWaiters(ra)
 	case rcRAProbe:
-		osc.window.Leave()
+		osc.window.Release()
 		r.raBudget[node] -= size
 	}
 }
@@ -472,7 +420,7 @@ func (r *runner) metaStep(i int32) {
 		if m.mod {
 			g = r.mdcMod[m.node]
 		}
-		g.Leave()
+		g.Release()
 		if now := r.eng.Now(); now > r.res.LastMetaRPC {
 			r.res.LastMetaRPC = now
 		}

@@ -46,9 +46,9 @@ type runner struct {
 	mds        *sim.Resource
 	dirLock    []*sim.Resource
 
-	osc    [][]*oscState // [node][ost]
-	mdc    []*sim.Gate   // per node, non-modifying metadata window
-	mdcMod []*sim.Gate   // per node, modifying metadata window
+	osc    [][]*oscState   // [node][ost]
+	mdc    []*sim.Resource // per node, non-modifying metadata window
+	mdcMod []*sim.Resource // per node, modifying metadata window
 
 	barrierCount int
 
@@ -142,14 +142,14 @@ type raWaiter struct {
 
 // oscState models one object storage client (per client node, per OST).
 // Staged write-back groups live by value in a FIFO ring: the OSC window
-// grants admissions in Enter order, which is staging order, so the granted
+// grants admissions in Acquire order, which is staging order, so the granted
 // group is always the ring head — removal is an O(1) pop instead of the
 // seed's linear identity scan, and no *rpcGroup pointers escape.
 type oscState struct {
-	window       *sim.Gate
+	window       *sim.Resource
 	dirty        int64
-	groups       fifo[rpcGroup]
-	dirtyWaiters fifo[int32] // ranks blocked in write admission
+	groups       sim.Ring[rpcGroup]
+	dirtyWaiters sim.Ring[int32] // ranks blocked in write admission
 }
 
 // rpcGroup is a coalesced write-back RPC being staged.
@@ -184,16 +184,16 @@ func newRunner(w *workload.Workload, opts Options, cv cfgValues, sc *scratch) *r
 	sc.r = r
 	nodes := spec.ClientNodes
 	r.nodeNIC = make([]*sim.Pipe, nodes)
-	r.mdc = make([]*sim.Gate, nodes)
-	r.mdcMod = make([]*sim.Gate, nodes)
+	r.mdc = make([]*sim.Resource, nodes)
+	r.mdcMod = make([]*sim.Resource, nodes)
 	r.osc = make([][]*oscState, nodes)
 	for n := 0; n < nodes; n++ {
 		r.nodeNIC[n] = sim.NewPipe(eng, "nic", spec.NICBandwidth)
-		r.mdc[n] = sim.NewGate(eng, "mdc", cv.mdcWindow)
-		r.mdcMod[n] = sim.NewGate(eng, "mdc-mod", cv.mdcModWin)
+		r.mdc[n] = sim.NewResource(eng, "mdc", cv.mdcWindow)
+		r.mdcMod[n] = sim.NewResource(eng, "mdc-mod", cv.mdcModWin)
 		r.osc[n] = make([]*oscState, spec.OSTCount)
 		for o := 0; o < spec.OSTCount; o++ {
-			r.osc[n][o] = &oscState{window: sim.NewGate(eng, "osc", cv.rpcWindow)}
+			r.osc[n][o] = &oscState{window: sim.NewResource(eng, "osc", cv.rpcWindow)}
 		}
 	}
 	r.ostNIC = make([]*sim.Pipe, spec.OSTCount)

@@ -30,8 +30,8 @@ type Recording struct {
 	Events   []lustre.Event `json:"events,omitempty"`
 }
 
-// renameMu serializes WriteRecording's existing-file check and rename, so
-// a concurrent event-less recording can never clobber a traced one.
+// renameMu serializes WriteRecording's last existing-file check and rename,
+// so a concurrent event-less recording can never clobber a traced one.
 var renameMu sync.Mutex
 
 // WriteRecording persists rec to dir as <key>.json, creating dir if needed.
@@ -43,8 +43,20 @@ var renameMu sync.Mutex
 // so a recording with events replaces anything, while an event-less one
 // replaces only a missing, torn or mislabelled file: a valid existing file
 // may carry the richer traced form, and a bad one is what a replay would
-// reject.
+// reject. An event-less write reads the existing file before it stages
+// anything, outside the lock, and returns at once when it is valid; under
+// the lock it only stats the path, and reads again only when another file
+// landed there in between.
 func WriteRecording(dir string, rec *Recording) error {
+	path := filepath.Join(dir, rec.Key+".json")
+	var seen os.FileInfo // the bad file the event-less check read, if any
+	if len(rec.Events) == 0 {
+		fi, valid := statRecording(dir, rec.Key)
+		if valid {
+			return nil
+		}
+		seen = fi
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -67,11 +79,35 @@ func WriteRecording(dir string, rec *Recording) error {
 	renameMu.Lock()
 	defer renameMu.Unlock()
 	if len(rec.Events) == 0 {
-		if _, err := ReadRecording(dir, rec.Key); err == nil {
-			return os.Remove(tmp.Name())
+		if fi, err := os.Stat(path); err == nil && !sameFile(fi, seen) {
+			if _, err := ReadRecording(dir, rec.Key); err == nil {
+				return os.Remove(tmp.Name())
+			}
 		}
 	}
-	return os.Rename(tmp.Name(), filepath.Join(dir, rec.Key+".json"))
+	return os.Rename(tmp.Name(), path)
+}
+
+// statRecording stats the recording for key in dir, then reads it, and
+// reports the file's info (nil when there is none) and whether it is valid.
+// The stat comes first, so a file landing between the two makes the info
+// stale, never the verdict: a later sameFile check then fails and reads
+// again.
+func statRecording(dir, key string) (os.FileInfo, bool) {
+	fi, err := os.Stat(filepath.Join(dir, key+".json"))
+	if err != nil {
+		return nil, false
+	}
+	_, err = ReadRecording(dir, key)
+	return fi, err == nil
+}
+
+// sameFile reports whether a and b describe one unchanged file. Files land
+// by rename, so a new recording is a new file; the modification time also
+// tells apart a file rewritten in place, or a new one that reuses a
+// deleted file's inode.
+func sameFile(a, b os.FileInfo) bool {
+	return b != nil && os.SameFile(a, b) && a.ModTime().Equal(b.ModTime())
 }
 
 // ReadRecording loads the recording for key from dir. A missing file is

@@ -47,14 +47,10 @@ import (
 // TestCachedResultsRetainOnlyThemselves, so a full cache holds ~2 MiB.
 const DefaultCapacity = 4096
 
-// DefaultShards is the shard count when Options.Shards <= 0: enough that 16
-// concurrent requests rarely collide on one mutex, small enough that even a
-// tiny capacity still gives each shard a useful LRU.
+// DefaultShards is the shard count of every cache whose capacity allows it:
+// enough that 16 concurrent requests rarely collide on one mutex, small
+// enough that even a tiny capacity still gives each shard a useful LRU.
 const DefaultShards = 16
-
-// maxShards bounds the shard count to the 256 values of the first key byte,
-// which is what the prefix-based shard pick can address.
-const maxShards = 256
 
 // Stats is a snapshot of cache effectiveness counters, aggregated across
 // all shards.
@@ -147,9 +143,6 @@ type Options struct {
 	// Capacity bounds completed results across all shards
 	// (<= 0 = DefaultCapacity).
 	Capacity int
-	// Shards is the number of independently locked shards
-	// (<= 0 = DefaultShards, capped at 256).
-	Shards int
 	// Dir, when non-empty, enables write-through disk persistence: completed
 	// runs are serialized there as <key>.json (platform recording format)
 	// and misses consult it before executing the backend.
@@ -182,25 +175,26 @@ func New(inner platform.Platform, capacity int) *Cache {
 	return NewWithOptions(inner, Options{Capacity: capacity})
 }
 
-// NewWithOptions wraps inner in a cache configured by opts.
+// NewWithOptions wraps inner in a cache configured by opts, across
+// DefaultShards shards.
 func NewWithOptions(inner platform.Platform, opts Options) *Cache {
+	return newSharded(inner, opts, DefaultShards)
+}
+
+// newSharded is NewWithOptions over the given number of shards; tests pick
+// their own count to pin LRU order or shard spread.
+func newSharded(inner platform.Platform, opts Options, shards int) *Cache {
 	if opts.Capacity <= 0 {
 		opts.Capacity = DefaultCapacity
-	}
-	if opts.Shards <= 0 {
-		opts.Shards = DefaultShards
-	}
-	if opts.Shards > maxShards {
-		opts.Shards = maxShards
 	}
 	// A cache never holds more shards than entries, and the capacity is
 	// distributed so the aggregate equals the requested bound exactly — a
 	// `-cache-size 3` cache holds 3 results, not 3-rounded-up-per-shard.
-	if opts.Shards > opts.Capacity {
-		opts.Shards = opts.Capacity
+	if shards > opts.Capacity {
+		shards = opts.Capacity
 	}
-	c := &Cache{inner: inner, shards: make([]*shard, opts.Shards), dir: opts.Dir, traces: opts.Traces && opts.Dir != ""}
-	per, extra := opts.Capacity/opts.Shards, opts.Capacity%opts.Shards
+	c := &Cache{inner: inner, shards: make([]*shard, shards), dir: opts.Dir, traces: opts.Traces && opts.Dir != ""}
+	per, extra := opts.Capacity/shards, opts.Capacity%shards
 	for i := range c.shards {
 		cap := per
 		if i < extra {

@@ -209,7 +209,7 @@ func TestLRUEvictionBounds(t *testing.T) {
 	// One shard so LRU order is global and the eviction victim is exactly
 	// the least recently used key; the sharded analogue (per-shard bounds,
 	// aggregate capacity) is pinned by TestShardedCapacityBounds.
-	cache := NewWithOptions(backend, Options{Capacity: 2, Shards: 1})
+	cache := newSharded(backend, Options{Capacity: 2}, 1)
 	ctx := context.Background()
 
 	for seed := int64(0); seed < 3; seed++ {
@@ -288,7 +288,7 @@ func TestTracedRunsBypassTheCache(t *testing.T) {
 func TestShardedCapacityBounds(t *testing.T) {
 	backend := newCountingBackend(0)
 	const capacity = 6
-	cache := NewWithOptions(backend, Options{Capacity: capacity, Shards: 4})
+	cache := newSharded(backend, Options{Capacity: capacity}, 4)
 	ctx := context.Background()
 
 	for seed := int64(0); seed < 20; seed++ {
@@ -319,7 +319,7 @@ func TestShardedCapacityBounds(t *testing.T) {
 // semantics.
 func TestShardedSingleflight(t *testing.T) {
 	backend := newCountingBackend(10 * time.Millisecond)
-	cache := NewWithOptions(backend, Options{Shards: 32})
+	cache := newSharded(backend, Options{}, 32)
 	spec := testRunSpec(t, 21)
 
 	const goroutines = 16
@@ -345,7 +345,7 @@ func TestShardedSingleflight(t *testing.T) {
 // TestShardDistribution: distinct specs spread over more than one shard —
 // the point of sharding — rather than all hashing to shard zero.
 func TestShardDistribution(t *testing.T) {
-	cache := NewWithOptions(newCountingBackend(0), Options{Shards: 4})
+	cache := newSharded(newCountingBackend(0), Options{}, 4)
 	used := map[int]bool{}
 	for seed := int64(0); seed < 12; seed++ {
 		key := testRunSpec(t, seed).Key()

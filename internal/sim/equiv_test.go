@@ -2,8 +2,8 @@ package sim
 
 // Kernel equivalence suite: drives byte-program scenarios through the
 // optimized kernel and the seed reference kernel (refkernel_test.go) and
-// requires identical fire order, fire times, final clock, fired count,
-// pending count, and per-resource statistics. The same program interpreter
+// requires identical fire order, fire times, final clock, fired count and
+// pending count. The same program interpreter
 // backs both the seeded table tests and FuzzEngineOrdering, so every corpus
 // entry exercises the (at, seq) ordering invariant across interleaved
 // At/After/Use/SetCapacity/Stop sequences — including the dense same-instant
@@ -35,7 +35,6 @@ type resAPI struct {
 	release func()
 	use     func(s float64, done func())
 	setCap  func(c int)
-	stats   func() Stats
 }
 
 const (
@@ -59,7 +58,7 @@ func newKernelAPI() kernelAPI {
 		r := NewResource(e, "r", i+1)
 		k.res = append(k.res, resAPI{
 			acquire: r.Acquire, release: r.Release, use: r.Use,
-			setCap: r.SetCapacity, stats: r.Stats,
+			setCap: r.SetCapacity,
 		})
 	}
 	return k
@@ -76,7 +75,7 @@ func newRefKernelAPI() kernelAPI {
 		r := newRefResource(e, "r", i+1)
 		k.res = append(k.res, resAPI{
 			acquire: r.Acquire, release: r.Release, use: r.Use,
-			setCap: r.SetCapacity, stats: r.Stats,
+			setCap: r.SetCapacity,
 		})
 	}
 	return k
@@ -94,7 +93,6 @@ type progResult struct {
 	wall    float64
 	fired   uint64
 	pending int
-	stats   [progResources]Stats
 }
 
 // runProgram interprets prog (4 bytes per op) against k. Times and
@@ -161,9 +159,6 @@ func runProgram(k kernelAPI, prog []byte, fixed bool) progResult {
 	out.wall = k.run()
 	out.fired = k.fired()
 	out.pending = k.pend()
-	for i := range k.res {
-		out.stats[i] = k.res[i].stats()
-	}
 	return out
 }
 
@@ -182,11 +177,6 @@ func compareKernels(t *testing.T, prog []byte, fixed bool) {
 		if got.trace[i] != want.trace[i] {
 			t.Fatalf("fire %d diverged: got id=%d at=%v, want id=%d at=%v",
 				i, got.trace[i].id, got.trace[i].at, want.trace[i].id, want.trace[i].at)
-		}
-	}
-	for i := range got.stats {
-		if got.stats[i] != want.stats[i] {
-			t.Fatalf("resource %d stats diverged: %+v vs %+v", i, got.stats[i], want.stats[i])
 		}
 	}
 }
@@ -268,7 +258,7 @@ func TestKernelEquivalenceFixedDelayRandom(t *testing.T) {
 
 // FuzzEngineOrdering feeds arbitrary byte programs through both kernels,
 // once with plain After and once with the fixed-delay path switched on.
-// Any reachable divergence in event order, clock, or statistics under
+// Any reachable divergence in event order, clock, or counts under
 // random interleaved At/After/AfterDelay/Use/Stop sequences is a crash.
 func FuzzEngineOrdering(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))

@@ -31,31 +31,26 @@ package sim
 // and fuzz suites in this package.
 
 // eventKind selects how the run loop executes an event. Beyond plain
-// closures the kernel knows Resource grants and the two halves of
-// Resource.Use natively, which removes the capture closures those idioms
-// used to allocate per call.
+// closures (which include Resource.Acquire grants) the kernel knows the two
+// halves of Resource.Use natively, which removes the capture closures that
+// idiom used to allocate per call.
 type eventKind uint8
 
 const (
-	evFire     eventKind = iota // call fn()
-	evGrant                     // Acquire grant: record wait stats, call fn()
-	evUseStart                  // grant instant of Resource.Use: record stats, start the service timer
+	evFire     eventKind = iota // call fn(): At, After, AfterDelay, an Acquire grant
+	evUseStart                  // grant instant of Resource.Use: start the service timer
 	evUseEnd                    // service done: release res, then call fn
 )
 
 // event is one scheduled occurrence's payload, stored by value in an arena
 // slot (heap events) or inline in a FIFO ring slot (lane and delay queues).
-// Grant events carry their wait-time contribution precomputed at dispatch —
-// the grant fires on the dispatch instant, so the value is identical — but
-// the acquires/totalWait counters are only bumped when the grant actually
-// fires, exactly like the seed kernel's wrapped closure: a run stopped
-// between dispatch and grant leaves them uncounted.
+// It is 32 bytes on 64-bit platforms, so a lane slot is 40 and a delay
+// slot 48.
 type event struct {
 	kind eventKind
-	fn   func()    // evFire: the closure; evGrant: got; evUseStart/evUseEnd: done (may be nil)
-	res  *Resource // evGrant, evUseStart, evUseEnd
+	fn   func()    // evFire: the closure; evUseStart/evUseEnd: done (may be nil)
+	res  *Resource // evUseStart, evUseEnd
 	arg  float64   // evUseStart: service duration
-	wait float64   // evGrant, evUseStart: waiting time to credit at fire
 }
 
 // heapItem is the pointer-free ordering record kept in the 4-ary heap.
@@ -81,7 +76,7 @@ type delayItem struct {
 // delayQueue is the FIFO of one delay registered with Engine.NewDelay.
 type delayQueue struct {
 	d float64
-	q ring[delayItem]
+	q Ring[delayItem]
 }
 
 // alloc places ev in an arena slot and returns its index.
@@ -179,31 +174,32 @@ func (e *Engine) siftDown(it heapItem) {
 	h[i] = it
 }
 
-// ring is a growable power-of-two FIFO ring buffer. It replaces the
-// head-slicing Resource queue (r.queue = r.queue[1:], which copied on
-// append and pinned the backing array) and backs the engine's same-instant
-// lane and fixed-delay queues. Indexing is a mask, not a modulo; drop
-// zeroes the vacated slot so drained entries don't pin their closures.
-type ring[T any] struct {
+// Ring is a growable power-of-two FIFO ring buffer of values. It backs
+// Resource wait queues and the engine's same-instant lane and fixed-delay
+// queues; model code uses it for FIFOs of its own.
+// Indexing is a mask, not a modulo; Pop zeroes the vacated slot so drained
+// entries don't pin their closures. The zero value is an empty ring.
+type Ring[T any] struct {
 	buf  []T
 	head int
 	n    int
 }
 
-func (r *ring[T]) len() int { return r.n }
+// Len returns the number of queued elements.
+func (r *Ring[T]) Len() int { return r.n }
 
-// push appends v; the cold grow path (which must allocate) stays
+// Push appends v; the cold grow path (which must allocate) stays
 // unannotated by design.
 //
 //stellar:hotpath
-func (r *ring[T]) push(v T) { *r.put() = v }
+func (r *Ring[T]) Push(v T) { *r.put() = v }
 
 // put appends a slot and returns it for the caller to fill in place, which
 // spares large elements (the engine's inline event payloads) a copy
 // through a by-value argument. The pointer is valid until the next put.
 //
 //stellar:hotpath
-func (r *ring[T]) put() *T {
+func (r *Ring[T]) put() *T {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
@@ -212,17 +208,30 @@ func (r *ring[T]) put() *T {
 	return p
 }
 
+// Pop removes and returns the oldest element, which must exist.
+//
 //stellar:hotpath
-func (r *ring[T]) pop() T {
+func (r *Ring[T]) Pop() T {
 	v := *r.peek()
 	r.drop()
 	return v
 }
 
+// Tail returns a pointer to the newest element, or nil when the ring is
+// empty. The pointer is valid until the next Push.
+//
+//stellar:hotpath
+func (r *Ring[T]) Tail() *T {
+	if r.n == 0 {
+		return nil
+	}
+	return &r.buf[(r.head+r.n-1)&(len(r.buf)-1)]
+}
+
 // drop removes the oldest element, zeroing its slot.
 //
 //stellar:hotpath
-func (r *ring[T]) drop() {
+func (r *Ring[T]) drop() {
 	if r.n == 0 {
 		panic("sim: pop from empty ring")
 	}
@@ -235,11 +244,11 @@ func (r *ring[T]) drop() {
 // peek returns a pointer to the oldest element, which must exist.
 //
 //stellar:hotpath
-func (r *ring[T]) peek() *T { return &r.buf[r.head] }
+func (r *Ring[T]) peek() *T { return &r.buf[r.head] }
 
 // reset empties the ring in place, zeroing the occupied slots so abandoned
 // entries don't pin their payloads, while keeping the buffer for reuse.
-func (r *ring[T]) reset() {
+func (r *Ring[T]) reset() {
 	var zero T
 	for i := 0; i < r.n; i++ {
 		r.buf[(r.head+i)&(len(r.buf)-1)] = zero
@@ -247,7 +256,7 @@ func (r *ring[T]) reset() {
 	r.head, r.n = 0, 0
 }
 
-func (r *ring[T]) grow() {
+func (r *Ring[T]) grow() {
 	c := len(r.buf) * 2
 	if c < 16 {
 		c = 16

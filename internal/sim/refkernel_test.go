@@ -1,11 +1,11 @@
 package sim
 
 // This file is a faithful copy of the seed kernel — container/heap of
-// *refEvent, slice-shifting resource queues, per-Acquire capture closures —
+// *refEvent, slice-shifting resource queues, per-Use capture closures —
 // kept as the reference implementation the optimized kernel must match
 // event-for-event. The equivalence and fuzz suites drive identical
 // scenarios through both and require the same fire order, final clock,
-// fired count, and resource statistics.
+// fired count, and pending count.
 
 import (
 	"container/heap"
@@ -93,12 +93,6 @@ type refResource struct {
 	capacity int
 	inUse    int
 	queue    []func()
-
-	totalWait  float64
-	acquires   uint64
-	queuedPeak int
-	busyTime   float64
-	lastChange float64
 }
 
 func newRefResource(eng *refEngine, name string, capacity int) *refResource {
@@ -116,23 +110,8 @@ func (r *refResource) SetCapacity(c int) {
 	r.dispatch()
 }
 
-func (r *refResource) accountBusy() {
-	dt := r.eng.Now() - r.lastChange
-	r.busyTime += dt * float64(r.inUse)
-	r.lastChange = r.eng.Now()
-}
-
 func (r *refResource) Acquire(got func()) {
-	reqAt := r.eng.Now()
-	wrapped := func() {
-		r.acquires++
-		r.totalWait += r.eng.Now() - reqAt
-		got()
-	}
-	r.queue = append(r.queue, wrapped)
-	if len(r.queue) > r.queuedPeak {
-		r.queuedPeak = len(r.queue)
-	}
+	r.queue = append(r.queue, got)
 	r.dispatch()
 }
 
@@ -140,7 +119,6 @@ func (r *refResource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: release of idle resource " + r.name)
 	}
-	r.accountBusy()
 	r.inUse--
 	r.dispatch()
 }
@@ -149,7 +127,6 @@ func (r *refResource) dispatch() {
 	for r.inUse < r.capacity && len(r.queue) > 0 {
 		next := r.queue[0]
 		r.queue = r.queue[1:]
-		r.accountBusy()
 		r.inUse++
 		r.eng.After(0, next)
 	}
@@ -164,12 +141,4 @@ func (r *refResource) Use(service float64, done func()) {
 			}
 		})
 	})
-}
-
-func (r *refResource) Stats() Stats {
-	s := Stats{Acquires: r.acquires, PeakQueue: r.queuedPeak, BusyTime: r.busyTime}
-	if r.acquires > 0 {
-		s.AvgWait = r.totalWait / float64(r.acquires)
-	}
-	return s
 }

@@ -18,7 +18,9 @@
 //     and the FIFO is already in (at, seq) order without a heap sift.
 //
 // Resource wait queues are ring buffers, and the Acquire/Use grant paths
-// record their bookkeeping in waiter slots instead of capture closures.
+// record what to run at the grant in waiter slots instead of capture
+// closures. The kernel keeps no statistics: a resource knows only its
+// capacity, its holders and its queue.
 // Event ordering is bit-identical to the original container/heap kernel —
 // strictly increasing (at, seq) — which the equivalence and fuzz suites in
 // this package assert against a reference implementation.
@@ -46,7 +48,7 @@ type Engine struct {
 	// live in arena slots recycled through free; FIFO payloads sit inline
 	// in their ring slots. See heap.go.
 	heap   []heapItem
-	lane   ring[laneItem]
+	lane   Ring[laneItem]
 	delays []delayQueue
 	first  int
 	arena  []event
@@ -319,13 +321,7 @@ func (e *Engine) RunContext(ctx context.Context, checkEvery uint64) (float64, er
 		switch ev.kind {
 		case evFire:
 			ev.fn()
-		case evGrant:
-			ev.res.acquires++
-			ev.res.totalWait += ev.wait
-			ev.fn()
 		case evUseStart:
-			ev.res.acquires++
-			ev.res.totalWait += ev.wait
 			e.afterDelay(ev.arg, event{kind: evUseEnd, res: ev.res, fn: ev.fn})
 		case evUseEnd:
 			ev.res.Release()
@@ -346,9 +342,9 @@ func (e *Engine) noteFired(start uint64) { totalFired.Add(e.fired - start) }
 //
 //stellar:keep an op of the refkernel equivalence program in this package's tests
 func (e *Engine) Pending() int {
-	n := len(e.heap) + e.lane.len()
+	n := len(e.heap) + e.lane.Len()
 	for i := range e.delays {
-		n += e.delays[i].q.len()
+		n += e.delays[i].q.Len()
 	}
 	return n
 }
@@ -361,11 +357,9 @@ const (
 	wUse                       // start the service timer, then release + fn
 )
 
-// waiter is one queued Acquire or Use request. Recording reqAt (and, for
-// Use, the service parameters) in the slot replaces the per-Acquire capture
-// closure the queue used to hold.
+// waiter is one queued Acquire or Use request, held by value in the
+// queue's ring slot so a request allocates no capture closure.
 type waiter struct {
-	reqAt   float64
 	kind    waiterKind
 	fn      func()  // wAcquire: got; wUse: done (may be nil)
 	service float64 // wUse
@@ -374,21 +368,16 @@ type waiter struct {
 // Resource models a station with a fixed number of parallel servers and a
 // FIFO queue, e.g. an OST with N service threads or an RPC-window slot pool.
 // Acquire hands the caller a slot as soon as one frees; the caller later
-// Releases it. Service time is chosen by the caller, which keeps the
-// resource mechanism independent of the cost model.
+// Releases it, after arbitrary asynchronous work when the resource is a
+// window such as a client's in-flight RPC limit. Service time is chosen by
+// the caller, which keeps the resource mechanism independent of the cost
+// model.
 type Resource struct {
 	eng      *Engine
 	name     string
 	capacity int
 	inUse    int
-	queue    ring[waiter]
-
-	// Statistics.
-	totalWait  float64
-	acquires   uint64
-	queuedPeak int
-	busyTime   float64
-	lastChange float64
+	queue    Ring[waiter]
 }
 
 // NewResource creates a resource with the given number of parallel servers.
@@ -411,28 +400,13 @@ func (r *Resource) SetCapacity(c int) {
 	r.dispatch()
 }
 
-func (r *Resource) accountBusy() {
-	dt := r.eng.now - r.lastChange
-	r.busyTime += dt * float64(r.inUse)
-	r.lastChange = r.eng.now
-}
-
-// Finalize closes the utilization accounting interval at the current clock:
-// busy time between the last state change and end-of-run is credited, so
-// BusyTime of a resource still holding servers when the queue drains (or
-// when Stop fires) reflects the full run. Calling it more than once, or on
-// an idle resource, is harmless; Stats called before Finalize reports busy
-// time only up to the last state change, exactly as it always has.
-//
-//stellar:keep utilization accounting for the ROADMAP's explain-a-run view
-func (r *Resource) Finalize() { r.accountBusy() }
-
 // Acquire requests a server slot; got runs (as a scheduled event at the
-// acquisition instant) once a slot is owned. The waiting time is recorded.
+// acquisition instant) once a slot is owned. The holder gives the slot back
+// with Release.
 //
 //stellar:hotpath
 func (r *Resource) Acquire(got func()) {
-	r.enqueue(waiter{reqAt: r.eng.now, kind: wAcquire, fn: got})
+	r.enqueue(waiter{kind: wAcquire, fn: got})
 }
 
 // Use acquires a slot, holds it for service seconds, releases it, then runs
@@ -441,15 +415,12 @@ func (r *Resource) Acquire(got func()) {
 //
 //stellar:hotpath
 func (r *Resource) Use(service float64, done func()) {
-	r.enqueue(waiter{reqAt: r.eng.now, kind: wUse, fn: done, service: service})
+	r.enqueue(waiter{kind: wUse, fn: done, service: service})
 }
 
 //stellar:hotpath
 func (r *Resource) enqueue(w waiter) {
-	r.queue.push(w)
-	if r.queue.n > r.queuedPeak {
-		r.queuedPeak = r.queue.n
-	}
+	r.queue.Push(w)
 	r.dispatch()
 }
 
@@ -460,7 +431,6 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: release of idle resource " + r.name)
 	}
-	r.accountBusy()
 	r.inUse--
 	r.dispatch()
 }
@@ -468,41 +438,18 @@ func (r *Resource) Release() {
 //stellar:hotpath
 func (r *Resource) dispatch() {
 	for r.inUse < r.capacity && r.queue.n > 0 {
-		w := r.queue.pop()
-		r.accountBusy()
+		w := r.queue.Pop()
 		r.inUse++
 		// The grant fires as a same-instant event so acquisition order
-		// interleaves with other activity deterministically. The wait time
-		// is computed here — the grant fires at this exact instant, so the
-		// value is what the old capture closure would have measured — but
-		// it is credited only when the grant fires (see RunContext), which
-		// keeps Stats identical to the seed kernel even across Stop.
-		wait := r.eng.now - w.reqAt
+		// interleaves with other activity deterministically. An Acquire
+		// grant is a plain closure event; a Use grant starts the service
+		// timer.
 		if w.kind == wUse {
-			r.eng.scheduleNow(event{kind: evUseStart, res: r, arg: w.service, fn: w.fn, wait: wait})
+			r.eng.scheduleNow(event{kind: evUseStart, res: r, arg: w.service, fn: w.fn})
 		} else {
-			r.eng.scheduleNow(event{kind: evGrant, res: r, fn: w.fn, wait: wait})
+			r.eng.scheduleNow(event{kind: evFire, fn: w.fn})
 		}
 	}
-}
-
-// Stats summarises resource behaviour over a run.
-type Stats struct {
-	Acquires  uint64
-	AvgWait   float64
-	PeakQueue int
-	BusyTime  float64
-}
-
-// Stats returns the accumulated statistics.
-//
-//stellar:keep utilization accounting for the ROADMAP's explain-a-run view
-func (r *Resource) Stats() Stats {
-	s := Stats{Acquires: r.acquires, PeakQueue: r.queuedPeak, BusyTime: r.busyTime}
-	if r.acquires > 0 {
-		s.AvgWait = r.totalWait / float64(r.acquires)
-	}
-	return s
 }
 
 // Pipe models a bandwidth-shared link (a NIC or switch port) as a single
@@ -538,41 +485,3 @@ func (p *Pipe) Send(size float64, done func()) {
 	}
 	p.res.Use(size/p.rate, done)
 }
-
-// Stats exposes the underlying resource statistics.
-//
-//stellar:keep utilization accounting for the ROADMAP's explain-a-run view
-func (p *Pipe) Stats() Stats { return p.res.Stats() }
-
-// Finalize closes the utilization accounting interval; see Resource.Finalize.
-//
-//stellar:keep utilization accounting for the ROADMAP's explain-a-run view
-func (p *Pipe) Finalize() { p.res.Finalize() }
-
-// Gate is a counting semaphore without service time — callers acquire
-// a token, do arbitrary asynchronous work, and release it later. It is used
-// for client-side in-flight RPC windows.
-type Gate struct {
-	res *Resource
-}
-
-// NewGate creates a gate admitting width concurrent holders.
-func NewGate(eng *Engine, name string, width int) *Gate {
-	return &Gate{res: NewResource(eng, name, width)}
-}
-
-// Enter acquires a token and runs in once admitted.
-func (g *Gate) Enter(in func()) { g.res.Acquire(in) }
-
-// Leave releases a token.
-func (g *Gate) Leave() { g.res.Release() }
-
-// Stats exposes gate queueing statistics.
-//
-//stellar:keep utilization accounting for the ROADMAP's explain-a-run view
-func (g *Gate) Stats() Stats { return g.res.Stats() }
-
-// Finalize closes the utilization accounting interval; see Resource.Finalize.
-//
-//stellar:keep utilization accounting for the ROADMAP's explain-a-run view
-func (g *Gate) Finalize() { g.res.Finalize() }

@@ -213,9 +213,6 @@ func TestResourceSerialisation(t *testing.T) {
 			t.Fatalf("finishes = %v, want %v", finishes, want)
 		}
 	}
-	if s := r.Stats(); s.Acquires != 3 {
-		t.Fatalf("acquires = %d", s.Acquires)
-	}
 }
 
 func TestResourceParallelism(t *testing.T) {
@@ -232,63 +229,6 @@ func TestResourceParallelism(t *testing.T) {
 		if finishes[i] != want[i] {
 			t.Fatalf("finishes = %v, want %v", finishes, want)
 		}
-	}
-}
-
-func TestResourceWaitAccounting(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "x", 1)
-	r.Use(3, nil)
-	r.Use(3, nil) // waits 3s
-	e.Run()
-	s := r.Stats()
-	if s.AvgWait != 1.5 {
-		t.Fatalf("avg wait = %g, want 1.5", s.AvgWait)
-	}
-	if s.BusyTime != 6 {
-		t.Fatalf("busy = %g, want 6", s.BusyTime)
-	}
-}
-
-// TestResourceFinalizeBusyAccounting: busyTime only accrues on state
-// changes, so a resource still holding servers when the queue drains used
-// to lose the tail interval. Finalize closes it: a fully-busy resource's
-// BusyTime equals the run length.
-func TestResourceFinalizeBusyAccounting(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "x", 1)
-	// Hold the only server for the whole run: acquire at t=0, never release;
-	// a timer at t=10 defines the run length.
-	r.Acquire(func() {})
-	e.At(10, func() {})
-	if end := e.Run(); end != 10 {
-		t.Fatalf("end = %g, want 10", end)
-	}
-	if s := r.Stats(); s.BusyTime != 0 {
-		t.Fatalf("pre-Finalize busy = %g, want 0 (no state change since acquire)", s.BusyTime)
-	}
-	r.Finalize()
-	if s := r.Stats(); s.BusyTime != 10 {
-		t.Fatalf("busy = %g, want full run length 10", s.BusyTime)
-	}
-	// Finalize is idempotent: a second call at the same clock adds nothing.
-	r.Finalize()
-	if s := r.Stats(); s.BusyTime != 10 {
-		t.Fatalf("busy after second Finalize = %g, want 10", s.BusyTime)
-	}
-}
-
-// TestGateFinalize covers the wrapper path: a gate entered and never left
-// accounts its hold time once finalized.
-func TestGateFinalize(t *testing.T) {
-	e := NewEngine()
-	g := NewGate(e, "g", 2)
-	g.Enter(func() {})
-	e.At(4, func() {})
-	e.Run()
-	g.Finalize()
-	if s := g.Stats(); s.BusyTime != 4 {
-		t.Fatalf("busy = %g, want 4", s.BusyTime)
 	}
 }
 
@@ -384,16 +324,18 @@ func TestPipeThroughput(t *testing.T) {
 	}
 }
 
+// TestGateWindow drives a resource as an RPC window: holders acquire a
+// slot, do asynchronous work, and release it later.
 func TestGateWindow(t *testing.T) {
 	e := NewEngine()
-	g := NewGate(e, "rpc", 2)
+	g := NewResource(e, "rpc", 2)
 	inFlightPeak := 0
 	launch := func() {
-		g.Enter(func() {
-			if g.res.inUse > inFlightPeak {
-				inFlightPeak = g.res.inUse
+		g.Acquire(func() {
+			if g.inUse > inFlightPeak {
+				inFlightPeak = g.inUse
 			}
-			e.After(1, g.Leave)
+			e.After(1, g.Release)
 		})
 	}
 	for i := 0; i < 8; i++ {
@@ -433,23 +375,24 @@ func TestResourceWorkConservationProperty(t *testing.T) {
 	}
 }
 
-// Property: a gate of width w never admits more than w concurrent holders.
+// Property: a resource used as a window of width w never admits more than
+// w concurrent holders.
 func TestGateNeverExceedsWidthProperty(t *testing.T) {
 	f := func(seed int64, width uint8) bool {
 		w := int(width%8) + 1
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine()
-		g := NewGate(e, "g", w)
+		g := NewResource(e, "g", w)
 		ok := true
 		for i := 0; i < 50; i++ {
 			at := rng.Float64() * 5
 			hold := rng.Float64()
 			e.At(at, func() {
-				g.Enter(func() {
-					if g.res.inUse > w {
+				g.Acquire(func() {
+					if g.inUse > w {
 						ok = false
 					}
-					e.After(hold, g.Leave)
+					e.After(hold, g.Release)
 				})
 			})
 		}

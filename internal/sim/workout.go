@@ -2,7 +2,7 @@ package sim
 
 // Workout drives one fresh Engine through a fixed synthetic event mix shaped
 // like the lustre model's hot path — client chains holding an RPC-window
-// gate, pushing transfers through a shared pipe, contending on a
+// slot, pushing transfers through a shared pipe, contending on a
 // multi-server resource, and chaining the next operation with a think-time
 // timer — and returns the number of events fired. The mix is deterministic
 // (no randomness, no wall clock) so it is usable both as a benchmark body
@@ -18,7 +18,7 @@ func Workout(chains, opsPerChain int) uint64 {
 	e := NewEngine()
 	disk := NewResource(e, "disk", 4)
 	nic := NewPipe(e, "nic", 1e9)
-	win := NewGate(e, "win", 8)
+	win := NewResource(e, "win", 8)
 	for c := 0; c < chains; c++ {
 		ch := &workoutChain{
 			e: e, disk: disk, nic: nic, win: win,
@@ -30,7 +30,7 @@ func Workout(chains, opsPerChain int) uint64 {
 		// allocates nothing per event, and the model side shouldn't either,
 		// so steady-state allocs/event measures the kernel.
 		ch.served = func() {
-			ch.win.Leave()
+			ch.win.Release()
 			ch.i++
 			if ch.i < ch.ops {
 				ch.e.After(1e-5, ch.start)
@@ -38,7 +38,7 @@ func Workout(chains, opsPerChain int) uint64 {
 		}
 		ch.sent = func() { ch.disk.Use(ch.svc, ch.served) }
 		ch.entered = func() { ch.nic.Send(ch.size, ch.sent) }
-		ch.start = func() { ch.win.Enter(ch.entered) }
+		ch.start = func() { ch.win.Acquire(ch.entered) }
 		e.At(0, ch.start)
 	}
 	e.Run()
@@ -49,7 +49,7 @@ type workoutChain struct {
 	e    *Engine
 	disk *Resource
 	nic  *Pipe
-	win  *Gate
+	win  *Resource
 
 	i, ops    int
 	size, svc float64
